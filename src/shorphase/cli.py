@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -29,6 +30,7 @@ from .config import (
     PipelineMode,
     build_config,
     config_to_text,
+    float_list,
     parse_config_text,
 )
 from .pulses import PulseMode, PulseSpec, TwoLevelSystem, natural_init
@@ -66,7 +68,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_format() -> str:
+def _format(args, fallback: str | None = None) -> str:
+    """Output format: the --format flag, else ``fallback``, else the env var, else JSON."""
+    if args.format is not None:
+        return args.format
+    if fallback is not None:
+        return fallback
     fmt = os.environ.get(FORMAT_ENV_VAR)
     if fmt is None:
         return "json"
@@ -77,7 +84,7 @@ def _default_format() -> str:
 
 def _floats(text: str, count: int, what: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in str(text).split(","))
+        values = float_list(text)
     except ValueError:
         raise UsageError(f"{what} must be comma-separated numbers, got {text!r}") from None
     if len(values) != count:
@@ -98,13 +105,32 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_text(columns, rows) -> str:
+def _render(fmt: str, columns, records, json_value) -> str:
+    """``json_value`` as indented JSON, or ``records`` as CSV cells looked up by column name."""
+    if fmt == "json":
+        return json.dumps(json_value, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    for record in records:
+        writer.writerow([_csv_cell(record[column]) for column in columns])
     return buf.getvalue()
+
+
+def _spectrum_flags(args) -> dict:
+    """``{}``, ``{"omega": ...}`` or ``{"energies": ...}`` from the spectrum flags."""
+    if args.omega is not None and args.energies is not None:
+        raise UsageError("give either --omega or --energies, not both")
+    if args.omega is not None:
+        return {"omega": _floats(args.omega, 4, "--omega")}
+    if args.energies is not None:
+        return {"energies": _floats(args.energies, 16, "--energies")}
+    return {}
+
+
+def _spectrum_table(args) -> np.ndarray:
+    flags = _spectrum_flags(args)
+    return statevec.make_spectrum(flags.get("omega", flags.get("energies", statevec.DEFAULT_OMEGAS)))
 
 
 def _emit(text: str) -> None:
@@ -125,14 +151,11 @@ def _assemble_config(args) -> ExperimentConfig:
             raise UsageError(f"cannot read config file: {exc}") from None
         settings.update(parse_config_text(text))
 
-    if args.omega is not None and args.energies is not None:
-        raise UsageError("give either --omega or --energies, not both")
-    if args.omega is not None:
-        settings.pop("energies", None)
-        settings["omega"] = _floats(args.omega, 4, "--omega")
-    elif args.energies is not None:
+    spectrum = _spectrum_flags(args)
+    if spectrum:
         settings.pop("omega", None)
-        settings["energies"] = _floats(args.energies, 16, "--energies")
+        settings.pop("energies", None)
+        settings.update(spectrum)
 
     for key, value in (
         ("mode", args.mode),
@@ -141,11 +164,10 @@ def _assemble_config(args) -> ExperimentConfig:
         ("seed", args.seed),
         ("retry_cap", args.retry_cap),
         ("tolerance", args.tolerance),
-        ("format", args.format),
     ):
         if value is not None:
             settings[key] = value
-    settings.setdefault("format", _default_format())
+    settings["format"] = _format(args, settings.get("format"))
     return build_config(settings)
 
 
@@ -181,34 +203,19 @@ def report_to_dict(report: shor.RunReport) -> dict:
     }
 
 
-def _render_run_report(report: shor.RunReport, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2) + "\n"
-    dist = report.x_distribution
-    row = (
-        report.config.mode.value,
-        report.config.delays.tau1,
-        report.config.delays.tau2,
-        report.config.seed,
-        report.measured_x,
-        report.period,
-        report.factor,
-        report.residuals.delta1,
-        report.residuals.delta2,
-        report.residuals.satisfied,
-        dist[0], dist[1], dist[2], dist[3],
-        report.retries,
-        report.diagnostic,
-    )
-    return _csv_text(RUN_CSV_COLUMNS, [row])
-
-
 def cmd_shor_demo(args) -> int:
     config = _assemble_config(args)
     if args.dump_config is not None:
         Path(args.dump_config).write_text(config_to_text(config))
     report = shor.run_experiment(config)
-    _emit(_render_run_report(report, config.output_format))
+    result = report_to_dict(report)
+    record = {
+        **result,
+        **{key: result["config"][key] for key in ("mode", "tau1", "tau2", "seed")},
+        **result["residuals"],
+        **{f"p{x}": p for x, p in report.x_distribution.items()},
+    }
+    _emit(_render(config.output_format, RUN_CSV_COLUMNS, [record], result))
     return EXIT_OK if report.factor is not None else EXIT_NO_FACTOR
 
 
@@ -245,20 +252,13 @@ def _pulse_result(args) -> dict:
         else:
             raise UsageError("give --area or --rabi")
         spec = PulseSpec(mode=mode, rabi=rabi, t0=t0, tau=duration, phase=phase)
-        evolve = {
-            PulseMode.COHERENT: pulses.evolve_coherent,
-            PulseMode.NONCOHERENT: pulses.evolve_noncoherent,
-            PulseMode.PHASE_CORRECTED: pulses.evolve_phase_corrected,
-        }[mode]
-        final = evolve(system, spec, init)
+        final = getattr(pulses, f"evolve_{mode.name.lower()}")(system, spec, init)
         ode = pulses.integrate_ode(system, spec, init, args.step)
         ode_discrepancy = max(abs(final.c_k - ode.c_k), abs(final.c_p - ode.c_p))
         area = spec.pulse_area
         phase = spec.phase
         if mode is PulseMode.NONCOHERENT:
-            coherent_spec = PulseSpec(
-                mode=PulseMode.COHERENT, rabi=rabi, t0=t0, tau=duration, phase=phase
-            )
+            coherent_spec = dataclasses.replace(spec, mode=PulseMode.COHERENT)
             coherent = pulses.evolve_coherent(system, coherent_spec, init)
             phase_error = _sig(wrap_phase(
                 np.angle(final.c_p) - np.angle(coherent.c_p)
@@ -290,18 +290,12 @@ def _pulse_result(args) -> dict:
 
 def cmd_pulse(args) -> int:
     result = _pulse_result(args)
-    fmt = args.format if args.format is not None else _default_format()
-    if fmt == "json":
-        _emit(json.dumps(result, indent=2) + "\n")
-    else:
-        row = tuple(
-            result[k] for k in ("mode", "e_k", "e_p", "rabi", "duration", "t0", "phase", "area")
-        ) + (
-            result["c_k"]["modulus"], result["c_k"]["phase"],
-            result["c_p"]["modulus"], result["c_p"]["phase"],
-            result["ode_discrepancy"], result["phase_error_vs_coherent"],
-        )
-        _emit(_csv_text(PULSE_CSV_COLUMNS, [row]))
+    record = {
+        **result,
+        "ck_modulus": result["c_k"]["modulus"], "ck_phase": result["c_k"]["phase"],
+        "cp_modulus": result["c_p"]["modulus"], "cp_phase": result["c_p"]["phase"],
+    }
+    _emit(_render(_format(args), PULSE_CSV_COLUMNS, [record], result))
     return EXIT_OK
 
 
@@ -309,22 +303,12 @@ def cmd_pulse(args) -> int:
 # check-condition
 
 
-def _spectrum_from_flags(args) -> np.ndarray:
-    if args.omega is not None and args.energies is not None:
-        raise UsageError("give either --omega or --energies, not both")
-    if args.omega is not None:
-        return statevec.make_spectrum(_floats(args.omega, 4, "--omega"))
-    if args.energies is not None:
-        return statevec.make_spectrum(_floats(args.energies, 16, "--energies"))
-    return statevec.additive_spectrum()
-
-
 def cmd_check_condition(args) -> int:
     try:
         delays = DelaySchedule(args.tau1, args.tau2)
     except ConfigError as exc:
         raise UsageError(str(exc)) from None
-    residual = shor.check_condition(_spectrum_from_flags(args), delays, args.tolerance)
+    residual = shor.check_condition(_spectrum_table(args), delays, args.tolerance)
     result = {
         "tau1": delays.tau1,
         "tau2": delays.tau2,
@@ -332,11 +316,7 @@ def cmd_check_condition(args) -> int:
         "delta2": residual.delta2,
         "satisfied": residual.satisfied,
     }
-    fmt = args.format if args.format is not None else _default_format()
-    if fmt == "json":
-        _emit(json.dumps(result, indent=2) + "\n")
-    else:
-        _emit(_csv_text(CONDITION_CSV_COLUMNS, [tuple(result[k] for k in CONDITION_CSV_COLUMNS)]))
+    _emit(_render(_format(args), CONDITION_CSV_COLUMNS, [result], result))
     return EXIT_OK
 
 
@@ -348,13 +328,14 @@ def _sweep_rows(args, spectrum: np.ndarray) -> list[dict]:
     mode = PipelineMode(args.mode) if args.mode is not None else PipelineMode.FREE_EVOLUTION
     taus1 = np.linspace(args.tau1_start, args.tau1_stop, args.tau1_count)
     taus2 = np.linspace(args.tau2_start, args.tau2_stop, args.tau2_count)
+    table = tuple(spectrum)
     rows = []
     for t1 in taus1:  # row-major, tau1 outer
         for t2 in taus2:
             delays = DelaySchedule(float(t1), float(t2))
             residual = shor.check_condition(spectrum, delays, args.tolerance)
             config = ExperimentConfig(
-                mode=mode, delays=delays, spectrum=tuple(spectrum), tolerance=args.tolerance
+                mode=mode, delays=delays, spectrum=table, tolerance=args.tolerance
             )
             state = transforms.run_pipeline(config)
             dist = statevec.measure_x_distribution(state)
@@ -373,29 +354,13 @@ def _sweep_rows(args, spectrum: np.ndarray) -> list[dict]:
     return rows
 
 
-def _sweep_format(args) -> str:
-    if args.format is not None:
-        return args.format
-    suffix = Path(args.out).suffix.lower()
-    if suffix == ".json":
-        return "json"
-    if suffix == ".csv":
-        return "csv"
-    return _default_format()
-
-
 def cmd_sweep(args) -> int:
     for name in ("tau1_count", "tau2_count"):
         if getattr(args, name) < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be at least 1")
-    spectrum = _spectrum_from_flags(args)
-    rows = _sweep_rows(args, spectrum)
-    fmt = _sweep_format(args)
-    if fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        text = _csv_text(SWEEP_CSV_COLUMNS, [tuple(r[k] for k in SWEEP_CSV_COLUMNS) for r in rows])
-    Path(args.out).write_text(text)
+    rows = _sweep_rows(args, _spectrum_table(args))
+    fmt = _format(args, {".json": "json", ".csv": "csv"}.get(Path(args.out).suffix.lower()))
+    Path(args.out).write_text(_render(fmt, SWEEP_CSV_COLUMNS, rows, rows))
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 

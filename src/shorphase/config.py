@@ -99,20 +99,40 @@ class ExperimentConfig:
             )
 
 
+def float_list(text) -> tuple[float, ...]:
+    """Parse comma-separated reals; raises ValueError on a part that is not a number."""
+    return tuple(float(part) for part in str(text).split(","))
+
+
 #: Keys accepted in config files, with parsers. "omega" takes the four qubit
 #: frequencies, "energies" a full 16-entry table; giving both is an error.
-_FLOAT_LIST = lambda text: tuple(float(part) for part in str(text).split(","))
 _CONFIG_KEYS = {
     "mode": str,
     "tau1": float,
     "tau2": float,
-    "omega": _FLOAT_LIST,
-    "energies": _FLOAT_LIST,
+    "omega": float_list,
+    "energies": float_list,
     "seed": int,
     "retry_cap": int,
     "tolerance": float,
     "format": str,
 }
+
+#: Settings keys that map one to one onto ExperimentConfig fields.
+_CONFIG_FIELDS = {
+    "mode": "mode",
+    "omega": "spectrum",
+    "energies": "spectrum",
+    "seed": "seed",
+    "retry_cap": "retry_cap",
+    "tolerance": "tolerance",
+    "format": "output_format",
+}
+
+
+def _check_one_spectrum(settings: dict) -> None:
+    if "omega" in settings and "energies" in settings:
+        raise ConfigError("give either 'omega' or 'energies', not both")
 
 
 def parse_config_text(text: str) -> dict:
@@ -139,8 +159,7 @@ def parse_config_text(text: str) -> dict:
             settings[key] = _CONFIG_KEYS[key](value)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
-    if "omega" in settings and "energies" in settings:
-        raise ConfigError("give either 'omega' or 'energies', not both")
+    _check_one_spectrum(settings)
     return settings
 
 
@@ -149,20 +168,9 @@ def build_config(settings: dict) -> ExperimentConfig:
     unknown = set(settings) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown settings: {sorted(unknown)}")
-    if "omega" in settings and "energies" in settings:
-        raise ConfigError("give either 'omega' or 'energies', not both")
-    kwargs: dict = {}
-    if "mode" in settings:
-        kwargs["mode"] = settings["mode"]
+    _check_one_spectrum(settings)
+    kwargs = {_CONFIG_FIELDS[key]: value for key, value in settings.items() if key in _CONFIG_FIELDS}
     kwargs["delays"] = DelaySchedule(settings.get("tau1", 0.0), settings.get("tau2", 0.0))
-    if "omega" in settings:
-        kwargs["spectrum"] = settings["omega"]
-    elif "energies" in settings:
-        kwargs["spectrum"] = settings["energies"]
-    for key, target in (("seed", "seed"), ("retry_cap", "retry_cap"),
-                        ("tolerance", "tolerance"), ("format", "output_format")):
-        if key in settings:
-            kwargs[target] = settings[key]
     return ExperimentConfig(**kwargs)
 
 

@@ -43,9 +43,6 @@ class PulseMode(enum.Enum):
     SUDDEN = "sudden"
 
 
-RESONANT_MODES = (PulseMode.COHERENT, PulseMode.NONCOHERENT, PulseMode.PHASE_CORRECTED)
-
-
 @dataclass(frozen=True)
 class TwoLevelSystem:
     """Energies of the two levels; the transition frequency is their difference."""
@@ -130,11 +127,6 @@ def natural_init(modulus: float, e_k: float, t0: float) -> TwoLevelState:
     return TwoLevelState(modulus * cmath.exp(-1j * e_k * t0), 0.0)
 
 
-def _require_mode(pulse: PulseSpec, mode: PulseMode) -> None:
-    if pulse.mode is not mode:
-        raise ValueError(f"expected a {mode.value} pulse, got {pulse.mode.value}")
-
-
 def _closed_form(sys: TwoLevelSystem, pulse: PulseSpec, phi_eff: float,
                  init: TwoLevelState) -> TwoLevelState:
     # Exact solution for C_p(t0) = 0 under drive argument w_pk*t + phi_eff.
@@ -146,6 +138,16 @@ def _closed_form(sys: TwoLevelSystem, pulse: PulseSpec, phi_eff: float,
     return TwoLevelState(c_k, c_p)
 
 
+def _resonant(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState,
+              mode: PulseMode) -> TwoLevelState:
+    if pulse.mode is not mode:
+        raise ValueError(f"expected a {mode.value} pulse, got {pulse.mode.value}")
+    if init.c_p != 0:
+        return integrate_ode(sys, pulse, init)
+    # The drive argument at absolute time 0 is the closed form's phi_eff in every mode.
+    return _closed_form(sys, pulse, _drive_phase_at(sys, pulse, 0.0), init)
+
+
 def evolve_coherent(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState) -> TwoLevelState:
     """Reference-locked pulse; C_p(t0) != 0 falls back to the integrator.
 
@@ -154,10 +156,7 @@ def evolve_coherent(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState) 
     |C_k|*sin(alpha)*exp(i*(pi/2 - phase))*exp(-i*E_p*(t0+tau)):
     both levels leave the pulse with natural phases.
     """
-    _require_mode(pulse, PulseMode.COHERENT)
-    if init.c_p != 0:
-        return integrate_ode(sys, pulse, init)
-    return _closed_form(sys, pulse, pulse.phase, init)
+    return _resonant(sys, pulse, init, PulseMode.COHERENT)
 
 
 def evolve_noncoherent(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState) -> TwoLevelState:
@@ -167,10 +166,7 @@ def evolve_noncoherent(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelStat
     |C_k|*sin(alpha)*exp(i*(pi/2 - phase))*exp(-i*E_k*t0 - i*E_p*tau): a
     history phase recording that |p> was born from |k> at t0.
     """
-    _require_mode(pulse, PulseMode.NONCOHERENT)
-    if init.c_p != 0:
-        return integrate_ode(sys, pulse, init)
-    return _closed_form(sys, pulse, pulse.phase - sys.omega_pk * pulse.t0, init)
+    return _resonant(sys, pulse, init, PulseMode.NONCOHERENT)
 
 
 def evolve_phase_corrected(sys: TwoLevelSystem, pulse: PulseSpec,
@@ -181,10 +177,7 @@ def evolve_phase_corrected(sys: TwoLevelSystem, pulse: PulseSpec,
     coherent pulse with the same ``phase`` exactly. Any start-time error
     delta shifts the newborn phase by w_pk*delta.
     """
-    _require_mode(pulse, PulseMode.PHASE_CORRECTED)
-    if init.c_p != 0:
-        return integrate_ode(sys, pulse, init)
-    return _closed_form(sys, pulse, pulse.phase, init)
+    return _resonant(sys, pulse, init, PulseMode.PHASE_CORRECTED)
 
 
 def evolve_sudden(init: TwoLevelState, area: float) -> TwoLevelState:

@@ -42,20 +42,15 @@ class ConditionResidual:
 
     delta1 pairs the x=2 branch against the x=0 branch (both land on y=1);
     delta2 pairs x=3 against x=1 (both land on y=3). The clean pattern
-    survives iff both vanish mod 2*pi. The integer numbers of whole turns
-    removed by the wrapping are dropped; ``wrap1``/``wrap2`` carry them only
-    when diagnostics were requested.
+    survives iff both vanish mod 2*pi.
     """
 
     delta1: float
     delta2: float
     satisfied: bool
-    wrap1: int | None = None
-    wrap2: int | None = None
 
 
-def check_condition(spectrum, delays: DelaySchedule, tol: float = 1e-9,
-                    diagnostics: bool = False) -> ConditionResidual:
+def check_condition(spectrum, delays: DelaySchedule, tol: float = 1e-9) -> ConditionResidual:
     """Evaluate both interference residuals for a spectrum and delay pair."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -68,29 +63,20 @@ def check_condition(spectrum, delays: DelaySchedule, tol: float = 1e-9,
     raw2 = (level(3, 0) - level(1, 0)) * delays.tau1 + (level(3, 3) - level(1, 3)) * delays.tau2
     delta1, delta2 = wrap_phase(raw1), wrap_phase(raw2)
     satisfied = abs(delta1) <= tol and abs(delta2) <= tol
-    if not diagnostics:
-        return ConditionResidual(delta1, delta2, satisfied)
-    two_pi = 2.0 * math.pi
-    return ConditionResidual(
-        delta1, delta2, satisfied,
-        wrap1=round((raw1 - delta1) / two_pi),
-        wrap2=round((raw2 - delta2) / two_pi),
-    )
+    return ConditionResidual(delta1, delta2, satisfied)
 
 
-def extract_period(measured_x: int, d: int = D) -> int | None:
-    """Period T = d / measured_x; None for the uninformative outcome x = 0."""
-    if d != D:
-        raise ValueError(f"only a {D}-state x register is supported, got d = {d}")
-    if not 0 <= measured_x < d:
+def extract_period(measured_x: int) -> int | None:
+    """Period T = D / measured_x; None for the uninformative outcome x = 0."""
+    if not 0 <= measured_x < D:
         raise ValueError(f"measured x out of range: {measured_x}")
     if measured_x == 0:
         return None
-    if d % measured_x != 0:
+    if D % measured_x != 0:
         raise PeriodExtractionError(
-            f"measured x = {measured_x} does not divide {d}; cannot extract a period"
+            f"measured x = {measured_x} does not divide {D}; cannot extract a period"
         )
-    return d // measured_x
+    return D // measured_x
 
 
 def factor_from_period(period: int) -> int | None:

@@ -106,7 +106,8 @@ def measure_x_distribution(state: np.ndarray) -> dict[int, float]:
     amps = np.asarray(state, dtype=complex)
     weights = np.abs(amps.reshape(NUM_X, NUM_Y)) ** 2
     total = float(weights.sum())
-    if abs(np.sqrt(total) - 1.0) > NORM_TOL:
+    # Written so that a NaN total fails the check too.
+    if not abs(np.sqrt(total) - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized: norm = {np.sqrt(total)}")
     marginal = weights.sum(axis=1) / total
     return {x: float(marginal[x]) for x in range(NUM_X)}
@@ -159,26 +160,3 @@ def state_to_json(state: np.ndarray) -> list[list[float]]:
         raise ValueError("state must have 16 entries")
     return [[float(z.real), float(z.imag)] for z in amps]
 
-
-def state_from_json(pairs) -> np.ndarray:
-    """Inverse of :func:`state_to_json`."""
-    arr = np.asarray(pairs, dtype=float)
-    if arr.shape != (DIM, 2) or not np.all(np.isfinite(arr)):
-        raise ValueError("expected 16 finite [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
-def spectrum_to_json(spectrum: np.ndarray) -> list[float]:
-    """Serialize a spectrum as 16 reals in index order 4m+n."""
-    energies = np.asarray(spectrum, dtype=float)
-    if energies.shape != (DIM,):
-        raise ValueError("spectrum must have 16 entries")
-    return [float(e) for e in energies]
-
-
-def spectrum_from_json(values) -> np.ndarray:
-    """Inverse of :func:`spectrum_to_json`."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (DIM,) or not np.all(np.isfinite(arr)):
-        raise ValueError("expected 16 finite energies")
-    return arr.copy()

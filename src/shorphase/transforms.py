@@ -17,8 +17,6 @@ from .config import DelaySchedule, ExperimentConfig, PipelineMode
 from .statevec import DIM, NUM_X, NUM_Y, basis_index
 
 __all__ = [
-    "PipelineMode",
-    "DelaySchedule",
     "SUPERPOSE_X_MATRIX",
     "DFT_MATRIX",
     "superpose_x",
@@ -95,13 +93,16 @@ def amplitude_of(state: np.ndarray, m: int, n: int) -> complex:
     return complex(np.asarray(state, dtype=complex)[basis_index(m, n)])
 
 
-def _free_evolution_pipeline(spectrum: np.ndarray, delays: DelaySchedule) -> np.ndarray:
-    state = statevec.init_ground()
-    state = superpose_x(state)
+def _after_spread(state: np.ndarray, spectrum: np.ndarray, delays: DelaySchedule) -> np.ndarray:
+    # Idle tau1 -> function evaluation -> idle tau2 -> DFT.
     state = statevec.free_evolve(state, spectrum, delays.tau1)
     state = apply_mod_exp(state)
     state = statevec.free_evolve(state, spectrum, delays.tau2)
     return dft_x(state)
+
+
+def _free_evolution_pipeline(spectrum: np.ndarray, delays: DelaySchedule) -> np.ndarray:
+    return _after_spread(superpose_x(statevec.init_ground()), spectrum, delays)
 
 
 def run_pipeline(config: ExperimentConfig) -> np.ndarray:
@@ -137,7 +138,4 @@ def run_history_chain(spectrum, delays: DelaySchedule, x_initial: int) -> np.nda
     spectrum = np.asarray(spectrum, dtype=float)
     state = np.zeros(DIM, dtype=complex)
     state[basis_index(x_initial, 0)] = 0.5
-    state = statevec.free_evolve(state, spectrum, delays.tau1)
-    state = apply_mod_exp(state)
-    state = statevec.free_evolve(state, spectrum, delays.tau2)
-    return dft_x(state)
+    return _after_spread(state, spectrum, delays)

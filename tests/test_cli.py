@@ -123,6 +123,36 @@ def test_invalid_env_format_exits_1(capsys, monkeypatch):
     assert cli.FORMAT_ENV_VAR in err
 
 
+@pytest.mark.parametrize("command", [
+    ["shor-demo", "--tau1", "0", "--tau2", "0"],
+    ["pulse", "--area", "1"],
+    ["check-condition"],
+    ["sweep", "--tau1-start", "0", "--tau1-stop", "0", "--tau1-count", "1",
+     "--tau2-start", "0", "--tau2-stop", "0", "--tau2-count", "1"],
+])
+def test_flag_overrides_invalid_env_format(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.setenv(cli.FORMAT_ENV_VAR, "yaml")
+    out_path = tmp_path / "grid.dat"
+    argv = command + (["--out", str(out_path)] if command[0] == "sweep" else [])
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    json.loads(out_path.read_text() if command[0] == "sweep" else out)
+
+
+def test_config_file_format_overrides_env(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("format = csv\n")
+    monkeypatch.setenv(cli.FORMAT_ENV_VAR, "yaml")
+    code, out, err = run_cli(capsys, "shor-demo", "--config", str(path), "--tau1", "0", "--tau2", "0")
+    assert code == 0, err
+    assert out.splitlines()[0] == ",".join(cli.RUN_CSV_COLUMNS)
+
+
+def test_csv_columns_match_schema(schemas):
+    assert list(cli.CONDITION_CSV_COLUMNS) == schemas["condition_report"]["required"]
+    assert list(cli.SWEEP_CSV_COLUMNS) == schemas["sweep_row"]["required"]
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -340,6 +370,24 @@ def test_sweep_rejects_bad_counts(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_state_exits_1(capsys, tmp_path):
+    # A flat 1e10 spectrum over tau1 = 1e300 overflows E*tau1 and turns the state into NaN.
+    energies = ",".join(["1e10"] * 16)
+    out_path = tmp_path / "grid.csv"
+    code, out, _ = run_cli(
+        capsys, "sweep", "--tau1-start", "0", "--tau1-stop", "1e300", "--tau1-count", "2",
+        "--tau2-start", "0", "--tau2-stop", "0", "--tau2-count", "1",
+        "--energies", energies, "--out", str(out_path),
+    )
+    assert code == 1
+    assert out == ""
+    assert not out_path.exists()
+    code, out, _ = run_cli(capsys, "shor-demo", "--energies", energies, "--tau1", "1e300")
+    assert code == 1
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 
@@ -360,6 +408,21 @@ def test_installed_entry_point_runs():
     )
     proc = subprocess.run(
         [sys.executable, "-c", launcher, "shor-demo", "--tau1", "0", "--tau2", "0"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["factor"] == 2
+
+
+def test_python_dash_m_runs():
+    # ``python -m shorphase`` with this tree's package first on the path.
+    package_root = Path(shorphase.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "shorphase", "shor-demo", "--tau1", "0", "--tau2", "0"],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr

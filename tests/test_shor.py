@@ -80,12 +80,9 @@ def test_check_condition_wrap_count_diagnostics():
     table[idx(2, 0)] = 1.0   # raw delta1 = tau1
     table[idx(3, 0)] = -1.0  # raw delta2 = -tau1
     delays = DelaySchedule(4.0 * math.pi + 0.3, 0.0)
-    plain = shor.check_condition(table, delays)
-    assert plain.wrap1 is None and plain.wrap2 is None
-    detailed = shor.check_condition(table, delays, diagnostics=True)
-    assert detailed.delta1 == pytest.approx(0.3, abs=1e-12)
-    assert (detailed.wrap1, detailed.wrap2) == (2, -2)
-    assert detailed.delta2 == pytest.approx(-0.3, abs=1e-12)
+    residual = shor.check_condition(table, delays)
+    assert residual.delta1 == pytest.approx(0.3, abs=1e-12)
+    assert residual.delta2 == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_check_condition_rejects_bad_tolerance():
@@ -100,23 +97,21 @@ def test_check_condition_rejects_bad_tolerance():
 
 
 def test_extract_period_values():
-    assert shor.extract_period(2, 4) == 2
-    assert shor.extract_period(0, 4) is None
-    assert shor.extract_period(1, 4) == 4
+    assert shor.extract_period(2) == 2
+    assert shor.extract_period(0) is None
+    assert shor.extract_period(1) == 4
 
 
 def test_extract_period_rejects_non_divisor():
     with pytest.raises(shor.PeriodExtractionError):
-        shor.extract_period(3, 4)
+        shor.extract_period(3)
 
 
 def test_extract_period_domain_checks():
     with pytest.raises(ValueError):
-        shor.extract_period(4, 4)
+        shor.extract_period(4)
     with pytest.raises(ValueError):
-        shor.extract_period(-1, 4)
-    with pytest.raises(ValueError):
-        shor.extract_period(2, 8)
+        shor.extract_period(-1)
 
 
 def test_factor_from_period_values():
@@ -127,7 +122,7 @@ def test_factor_from_period_values():
 
 
 def test_factor_of_ideal_measurement():
-    assert shor.factor_from_period(shor.extract_period(2, 4)) == 2
+    assert shor.factor_from_period(shor.extract_period(2)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +239,16 @@ def test_sweep_records_per_config_errors(monkeypatch):
     assert reports[1].error == "RuntimeError: synthetic failure"
     assert reports[1].factor is None
     assert reports[2].factor == 2 and reports[2].error is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_records_non_finite_state_as_error():
+    # E*tau1 overflows to inf, so every amplitude of the final state is NaN.
+    overflow = config_for(spectrum=np.full(16, 1e10), tau1=1e300)
+    reports = shor.sweep([config_for(), overflow])
+    assert reports[0].factor == 2 and reports[0].error is None
+    assert reports[1].error is not None and "normalized" in reports[1].error
+    assert reports[1].x_distribution is None and reports[1].measured_x is None
 
 
 def test_sweep_rejects_empty_grid():
