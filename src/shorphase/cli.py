@@ -56,6 +56,9 @@ SWEEP_CSV_COLUMNS = (
     "tau1", "tau2", "delta1", "delta2", "satisfied", "p0", "p1", "p2", "p3", "amp11_mod",
 )
 
+#: Grid points that ``sweep`` computes as one batch; bounds its array memory.
+_SWEEP_CHUNK = 2048
+
 
 class UsageError(Exception):
     """Bad flags or unusable inputs; maps to exit code 1."""
@@ -324,33 +327,46 @@ def cmd_check_condition(args) -> int:
 # sweep
 
 
+def _sweep_chunk(config: ExperimentConfig, tau1: np.ndarray, tau2: np.ndarray) -> list[dict]:
+    """Rows for the grid points (tau1[k], tau2[k]), computed as one batch."""
+    k = statevec._first(~(np.isfinite(tau1) & (tau1 >= 0.0) & np.isfinite(tau2) & (tau2 >= 0.0)))
+    if k is not None:
+        DelaySchedule(float(tau1[k]), float(tau2[k]))  # raises with the schedule's message
+    spectrum = np.asarray(config.spectrum)
+    delta1, delta2, satisfied = shor._residuals(spectrum, tau1, tau2, config.tolerance)
+    states = transforms._final_states(spectrum, config.mode, tau1, tau2)
+    marginals = statevec._x_marginals(states)
+    amp11 = states[:, statevec.basis_index(1, 1)]
+    # hypot rounds as Python's abs(complex) does; np.abs can differ in the last bit.
+    amp11_mod = np.hypot(amp11.real, amp11.imag)
+    columns = (tau1, tau2, delta1, delta2, satisfied, *marginals.T, amp11_mod)
+    return [dict(zip(SWEEP_CSV_COLUMNS, row)) for row in zip(*(c.tolist() for c in columns))]
+
+
 def _sweep_rows(args, spectrum: np.ndarray) -> list[dict]:
-    mode = PipelineMode(args.mode) if args.mode is not None else PipelineMode.FREE_EVOLUTION
     taus1 = np.linspace(args.tau1_start, args.tau1_stop, args.tau1_count)
     taus2 = np.linspace(args.tau2_start, args.tau2_stop, args.tau2_count)
-    table = tuple(spectrum)
+    # The first point's delays are checked before the shared settings, the
+    # order in which a point-by-point walk of the grid meets them.
+    first = DelaySchedule(float(taus1[0]), float(taus2[0]))
+    shor.check_condition(spectrum, first, args.tolerance)
+    config = ExperimentConfig(
+        mode=args.mode or PipelineMode.FREE_EVOLUTION, spectrum=tuple(spectrum),
+        tolerance=args.tolerance,
+    )
     rows = []
-    for t1 in taus1:  # row-major, tau1 outer
-        for t2 in taus2:
-            delays = DelaySchedule(float(t1), float(t2))
-            residual = shor.check_condition(spectrum, delays, args.tolerance)
-            config = ExperimentConfig(
-                mode=mode, delays=delays, spectrum=table, tolerance=args.tolerance
-            )
-            state = transforms.run_pipeline(config)
-            dist = statevec.measure_x_distribution(state)
-            rows.append({
-                "tau1": delays.tau1,
-                "tau2": delays.tau2,
-                "delta1": residual.delta1,
-                "delta2": residual.delta2,
-                "satisfied": residual.satisfied,
-                "p0": dist[0],
-                "p1": dist[1],
-                "p2": dist[2],
-                "p3": dist[3],
-                "amp11_mod": abs(transforms.amplitude_of(state, 1, 1)),
-            })
+    points = taus1.size * taus2.size
+    for start in range(0, points, _SWEEP_CHUNK):  # row-major, tau1 outer
+        k = np.arange(start, min(start + _SWEEP_CHUNK, points))
+        tau1, tau2 = taus1[k // taus2.size], taus2[k % taus2.size]
+        try:
+            rows += _sweep_chunk(config, tau1, tau2)
+        except ValueError:
+            # Each check names its own first bad row; redo the chunk point by
+            # point so that the first failing point decides the message.
+            for i in range(k.size):
+                _sweep_chunk(config, tau1[i:i + 1], tau2[i:i + 1])
+            raise
     return rows
 
 

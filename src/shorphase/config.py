@@ -85,7 +85,7 @@ class ExperimentConfig:
             table = statevec.make_spectrum(self.spectrum)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        object.__setattr__(self, "spectrum", tuple(float(e) for e in table))
+        object.__setattr__(self, "spectrum", tuple(table.tolist()))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "retry_cap", int(self.retry_cap))
         if self.retry_cap < 1:

@@ -50,20 +50,36 @@ class ConditionResidual:
     satisfied: bool
 
 
-def check_condition(spectrum, delays: DelaySchedule, tol: float = 1e-9) -> ConditionResidual:
-    """Evaluate both interference residuals for a spectrum and delay pair."""
+def _residuals(spectrum, tau1, tau2, tol: float):
+    """Wrapped residuals delta1, delta2 and the verdict, for scalar or (B,) delays.
+
+    A residual that is not finite (E*tau overflowed) is refused, naming the
+    first bad row, instead of being wrapped into NaN.
+    """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    e = np.asarray(statevec.make_spectrum(spectrum), dtype=float)
+    e = statevec.make_spectrum(spectrum).tolist()
 
-    def level(m: int, n: int) -> float:
-        return e[basis_index(m, n)]
+    def gap(m: int, n: int, k: int, y: int) -> float:
+        return e[basis_index(m, n)] - e[basis_index(k, y)]
 
-    raw1 = (level(2, 0) - level(0, 0)) * delays.tau1 + (level(2, 1) - level(0, 1)) * delays.tau2
-    raw2 = (level(3, 0) - level(1, 0)) * delays.tau1 + (level(3, 3) - level(1, 3)) * delays.tau2
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw1 = gap(2, 0, 0, 0) * tau1 + gap(2, 1, 0, 1) * tau2
+        raw2 = gap(3, 0, 1, 0) * tau1 + gap(3, 3, 1, 3) * tau2
+    i = statevec._first(~(np.isfinite(raw1) & np.isfinite(raw2)))
+    if i is not None:
+        raise ValueError(
+            "interference residuals are not finite: E*tau overflows at "
+            f"tau1 = {np.ravel(tau1)[i]}, tau2 = {np.ravel(tau2)[i]}"
+        )
     delta1, delta2 = wrap_phase(raw1), wrap_phase(raw2)
-    satisfied = abs(delta1) <= tol and abs(delta2) <= tol
-    return ConditionResidual(delta1, delta2, satisfied)
+    return delta1, delta2, (abs(delta1) <= tol) & (abs(delta2) <= tol)
+
+
+def check_condition(spectrum, delays: DelaySchedule, tol: float = 1e-9) -> ConditionResidual:
+    """Evaluate both interference residuals for a spectrum and delay pair."""
+    delta1, delta2, satisfied = _residuals(spectrum, delays.tau1, delays.tau2, tol)
+    return ConditionResidual(delta1, delta2, bool(satisfied))
 
 
 def extract_period(measured_x: int) -> int | None:

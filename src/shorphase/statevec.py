@@ -13,6 +13,8 @@ inputs are never mutated, results are fresh arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DIM = 16
@@ -47,6 +49,13 @@ def norm(state: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(state, dtype=complex)))
 
 
+#: Excitation bits (x0, x1, y0, y1) of every basis state, in index order 4m+n.
+_QUBIT_BITS = np.array(
+    [[m & 1, (m >> 1) & 1, n & 1, (n >> 1) & 1] for m in range(NUM_X) for n in range(NUM_Y)],
+    dtype=float,
+)
+
+
 def additive_spectrum(omegas=DEFAULT_OMEGAS) -> np.ndarray:
     """Energy table E[4m+n] = w0*x0 + w1*x1 + w2*y0 + w3*y1 over the qubit bits.
 
@@ -54,18 +63,11 @@ def additive_spectrum(omegas=DEFAULT_OMEGAS) -> np.ndarray:
     (x0, x1, y0, y1). Each excited qubit contributes its frequency.
     """
     omegas = np.asarray(omegas, dtype=float)
-    if omegas.shape != (4,) or not np.all(np.isfinite(omegas)):
+    if omegas.shape != (4,) or not np.isfinite(omegas).all():
         raise ValueError("expected four finite qubit frequencies")
-    energies = np.zeros(DIM)
-    for m in range(NUM_X):
-        for n in range(NUM_Y):
-            energies[basis_index(m, n)] = (
-                omegas[0] * (m & 1)
-                + omegas[1] * ((m >> 1) & 1)
-                + omegas[2] * (n & 1)
-                + omegas[3] * ((n >> 1) & 1)
-            )
-    return energies
+    terms = _QUBIT_BITS * omegas
+    # Added left to right, as the formula reads.
+    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
 def make_spectrum(values) -> np.ndarray:
@@ -74,26 +76,77 @@ def make_spectrum(values) -> np.ndarray:
     if values.shape == (4,):
         return additive_spectrum(values)
     if values.shape == (DIM,):
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("spectrum entries must be finite")
         return values.copy()
     raise ValueError(f"spectrum must have 4 or 16 entries, got shape {values.shape}")
 
 
-def free_evolve(state: np.ndarray, spectrum: np.ndarray, dt: float) -> np.ndarray:
+def _first(bad) -> int | None:
+    """Row-major index of the first True entry of a boolean mask, or None if there is none."""
+    if bad.shape == ():
+        return 0 if bad else None
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
+def _phase_factors(energies: np.ndarray, dt) -> np.ndarray:
+    """exp(-i*E*dt): 16 entries for a scalar dt, (B, 16) for a (B,) array of delays.
+
+    A product E*dt that overflows is refused here, naming the first bad row,
+    instead of letting numpy warn and turn the state into NaN.
+    """
+    # Python floats never warn: if sum(|E|)*dt is finite, no single E*dt overflows.
+    if isinstance(dt, float) and math.isfinite(sum(map(abs, energies.tolist())) * dt):
+        return np.exp(-1j * energies * dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = -1j * energies * np.asarray(dt)[..., None]
+    i = _first(~np.isfinite(phase))
+    if i is not None:
+        raise ValueError(
+            "state is not normalized: non-finite phase E*dt for "
+            f"E = {energies[i % DIM]}, dt = {np.ravel(dt)[i // DIM]}"
+        )
+    return np.exp(phase)
+
+
+def free_evolve(state: np.ndarray, spectrum: np.ndarray, dt) -> np.ndarray:
     """Evolve freely for time dt: each |m,n> amplitude gains exp(-i*E[m,n]*dt).
 
+    ``state`` has 16 entries or shape (B, 16); ``dt`` is a scalar or a (B,)
+    array of delays, one per row, and the result broadcasts to (B, 16).
     Moduli are untouched, so the norm and every measurement marginal are
     preserved exactly. Negative or non-finite dt is rejected.
     """
-    dt = float(dt)
-    if not (dt >= 0.0 and np.isfinite(dt)):
-        raise ValueError(f"dt must be finite and non-negative, got {dt}")
+    if isinstance(dt, (int, float)):
+        dt = float(dt)
+        bad = [] if dt >= 0.0 and math.isfinite(dt) else [dt]
+    else:
+        dt = np.asarray(dt, dtype=float)
+        if dt.ndim > 1:
+            raise ValueError(f"dt must be a scalar or a (B,) array, got shape {dt.shape}")
+        bad = dt[~((dt >= 0.0) & np.isfinite(dt))]
+    if len(bad):
+        raise ValueError(f"dt must be finite and non-negative, got {bad[0]}")
     amps = np.asarray(state, dtype=complex)
     energies = np.asarray(spectrum, dtype=float)
-    if amps.shape != (DIM,) or energies.shape != (DIM,):
+    if amps.shape[-1:] != (DIM,) or energies.shape != (DIM,):
         raise ValueError("state and spectrum must both have 16 entries")
-    return amps * np.exp(-1j * energies * dt)
+    return amps * _phase_factors(energies, dt)
+
+
+def _x_marginals(states: np.ndarray) -> np.ndarray:
+    """x marginals, shape (..., 4), of normalized states of shape (..., 16).
+
+    Refuses the first row whose norm is off by more than ``NORM_TOL``.
+    """
+    weights = np.abs(states.reshape(states.shape[:-1] + (NUM_X, NUM_Y))) ** 2
+    total = weights.sum(axis=(-2, -1))
+    # Written so that a NaN total fails the check too.
+    i = _first(~(abs(np.sqrt(total) - 1.0) <= NORM_TOL))
+    if i is not None:
+        raise ValueError(f"state is not normalized: norm = {np.sqrt(np.ravel(total)[i])}")
+    return weights.sum(axis=-1) / total[..., None]
 
 
 def measure_x_distribution(state: np.ndarray) -> dict[int, float]:
@@ -103,14 +156,7 @@ def measure_x_distribution(state: np.ndarray) -> dict[int, float]:
     probabilities are rescaled by the total weight so they sum to 1 up to
     floating-point rounding.
     """
-    amps = np.asarray(state, dtype=complex)
-    weights = np.abs(amps.reshape(NUM_X, NUM_Y)) ** 2
-    total = float(weights.sum())
-    # Written so that a NaN total fails the check too.
-    if not abs(np.sqrt(total) - 1.0) <= NORM_TOL:
-        raise ValueError(f"state is not normalized: norm = {np.sqrt(total)}")
-    marginal = weights.sum(axis=1) / total
-    return {x: float(marginal[x]) for x in range(NUM_X)}
+    return dict(enumerate(_x_marginals(np.asarray(state, dtype=complex)).tolist()))
 
 
 def draw_x(distribution: dict[int, float], rng: np.random.Generator) -> int:
@@ -147,10 +193,11 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 def wrap_phase(angle):
     """Wrap an angle (scalar or array) into the interval (-pi, pi]."""
-    wrapped = np.pi - np.mod(np.pi - np.asarray(angle, dtype=float), 2.0 * np.pi)
-    if np.ndim(angle) == 0:
-        return float(wrapped)
-    return wrapped
+    if not isinstance(angle, (float, np.ndarray)):
+        angle = np.asarray(angle, dtype=float)
+    # On floats and float arrays alike, % is numpy's mod: the result takes the divisor's sign.
+    wrapped = np.pi - (np.pi - angle) % (2.0 * np.pi)
+    return wrapped if isinstance(wrapped, np.ndarray) else float(wrapped)
 
 
 def state_to_json(state: np.ndarray) -> list[list[float]]:

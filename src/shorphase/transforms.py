@@ -43,9 +43,16 @@ MOD_EXP_TABLE = tuple(pow(3, x, 4) for x in range(NUM_X))
 _Y0_LEAK_TOL = 1e-12
 
 
+def _grid(state) -> np.ndarray:
+    # (..., 16) -> (..., 4, 4), indexed [..., x, y].
+    state = np.asarray(state, dtype=complex)
+    return state.reshape(state.shape[:-1] + (NUM_X, NUM_Y))
+
+
 def _apply_to_x(state: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    grid = np.asarray(state, dtype=complex).reshape(NUM_X, NUM_Y)
-    return (matrix @ grid).reshape(-1)
+    # One matmul over every row of a (B, 16) batch.
+    state = np.asarray(state, dtype=complex)
+    return (matrix @ _grid(state)).reshape(state.shape)
 
 
 def superpose_x(state: np.ndarray) -> np.ndarray:
@@ -69,18 +76,22 @@ def apply_mod_exp(state: np.ndarray) -> np.ndarray:
 
     Defined only on states whose weight lies entirely in the y=0 slice; any
     amplitude elsewhere is rejected rather than mapped by a guessed extension.
+    A (B, 16) batch is checked row by row and the first leaking row is named.
     """
-    grid = np.asarray(state, dtype=complex).reshape(NUM_X, NUM_Y)
-    leak = float(np.abs(grid[:, 1:]).max())
-    if leak > _Y0_LEAK_TOL:
+    grid = _grid(state)
+    leak = np.abs(grid[..., 1:])
+    if leak.max() > _Y0_LEAK_TOL:
+        rows = leak.reshape(-1, NUM_X * (NUM_Y - 1)).max(axis=1)
         raise ValueError(
-            f"amplitude outside the y=0 slice (max modulus {leak:.3e}); "
+            f"amplitude outside the y=0 slice (max modulus {rows[rows > _Y0_LEAK_TOL][0]:.3e}); "
             "the function evaluation is defined only there"
         )
-    out = np.zeros((NUM_X, NUM_Y), dtype=complex)
-    for m in range(NUM_X):
-        out[m, MOD_EXP_TABLE[m]] = grid[m, 0]
-    return out.reshape(-1)
+    out = np.zeros(grid.shape, dtype=complex)
+    # Transposed views put the optional batch axis last, so one item per x moves.
+    src, dst = grid.T, out.T
+    for m, y in enumerate(MOD_EXP_TABLE):
+        dst[y, m] = src[0, m]
+    return out.reshape(grid.shape[:-2] + (DIM,))
 
 
 def dft_x(state: np.ndarray) -> np.ndarray:
@@ -93,16 +104,23 @@ def amplitude_of(state: np.ndarray, m: int, n: int) -> complex:
     return complex(np.asarray(state, dtype=complex)[basis_index(m, n)])
 
 
-def _after_spread(state: np.ndarray, spectrum: np.ndarray, delays: DelaySchedule) -> np.ndarray:
+def _after_spread(state: np.ndarray, spectrum: np.ndarray, tau1, tau2) -> np.ndarray:
     # Idle tau1 -> function evaluation -> idle tau2 -> DFT.
-    state = statevec.free_evolve(state, spectrum, delays.tau1)
+    state = statevec.free_evolve(state, spectrum, tau1)
     state = apply_mod_exp(state)
-    state = statevec.free_evolve(state, spectrum, delays.tau2)
+    state = statevec.free_evolve(state, spectrum, tau2)
     return dft_x(state)
 
 
-def _free_evolution_pipeline(spectrum: np.ndarray, delays: DelaySchedule) -> np.ndarray:
-    return _after_spread(superpose_x(statevec.init_ground()), spectrum, delays)
+def _final_states(spectrum: np.ndarray, mode: PipelineMode, tau1, tau2) -> np.ndarray:
+    """Final states for scalar delays (16 entries) or (B,) delay arrays (B, 16)."""
+    spread = superpose_x(statevec.init_ground())
+    if mode is PipelineMode.NATURAL_PHASE:
+        state = _after_spread(spread, np.zeros(DIM), tau1, tau2)
+        with np.errstate(over="ignore"):  # an infinite total is refused with its phase
+            total = tau1 + tau2
+        return state * statevec._phase_factors(spectrum, total)
+    return _after_spread(spread, spectrum, tau1, tau2)
 
 
 def run_pipeline(config: ExperimentConfig) -> np.ndarray:
@@ -121,10 +139,7 @@ def run_pipeline(config: ExperimentConfig) -> np.ndarray:
     the zero-delay run, so the x distribution is delay independent.
     """
     spectrum = np.asarray(config.spectrum, dtype=float)
-    if config.mode is PipelineMode.NATURAL_PHASE:
-        state = _free_evolution_pipeline(np.zeros(DIM), config.delays)
-        return state * np.exp(-1j * spectrum * config.delays.total)
-    return _free_evolution_pipeline(spectrum, config.delays)
+    return _final_states(spectrum, config.mode, config.delays.tau1, config.delays.tau2)
 
 
 def run_history_chain(spectrum, delays: DelaySchedule, x_initial: int) -> np.ndarray:
@@ -138,4 +153,4 @@ def run_history_chain(spectrum, delays: DelaySchedule, x_initial: int) -> np.nda
     spectrum = np.asarray(spectrum, dtype=float)
     state = np.zeros(DIM, dtype=complex)
     state[basis_index(x_initial, 0)] = 0.5
-    return _after_spread(state, spectrum, delays)
+    return _after_spread(state, spectrum, delays.tau1, delays.tau2)

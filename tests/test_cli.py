@@ -11,9 +11,11 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import shorphase
+from conftest import expected_final_state, idx
 from shorphase import cli, shor, statevec
 from shorphase.config import DelaySchedule
 
@@ -296,6 +298,15 @@ def test_check_condition_output(capsys, schemas):
     assert dict(zip(rows[0], rows[1]))["satisfied"] == "true"
 
 
+@pytest.mark.filterwarnings("error")
+def test_check_condition_refuses_non_finite_residuals(capsys):
+    code, out, err = run_cli(capsys, "check-condition", "--omega", "1,1e300,1,1", "--tau1", "1e300")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: interference residuals are not finite")
+    assert "NaN" not in err and "nan" not in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -386,6 +397,114 @@ def test_non_finite_state_exits_1(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "shor-demo", "--energies", energies, "--tau1", "1e300")
     assert code == 1
     assert out == ""
+
+
+#: A 16-entry table with no additive structure, so every branch phase differs.
+SWEEP_ENERGIES = [0.1 * i + 0.37 * (i % 3) + 0.05 * i * i for i in range(16)]
+
+
+@pytest.mark.parametrize("mode, suffix", [("free-evolution", "csv"), ("natural-phase", "json")])
+def test_sweep_across_chunks_matches_branch_oracle(capsys, tmp_path, mode, suffix):
+    # Two full chunks and a partial one, checked row by row against the
+    # branch-sum oracle, which shares no code with the pipeline.
+    n1, n2 = 3, cli._SWEEP_CHUNK * 2 // 3 + 7
+    assert 2 * cli._SWEEP_CHUNK < n1 * n2 < 3 * cli._SWEEP_CHUNK
+    out_path = tmp_path / f"grid.{suffix}"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--tau1-start", "0", "--tau1-stop", "7.5", "--tau1-count", str(n1),
+        "--tau2-start", "0.25", "--tau2-stop", "9", "--tau2-count", str(n2),
+        "--energies", ",".join(map(repr, SWEEP_ENERGIES)), "--mode", mode, "--out", str(out_path),
+    )
+    assert code == 0
+    if suffix == "json":
+        rows = json.loads(out_path.read_text())
+    else:
+        rows = [{k: (v == "true") if k == "satisfied" else float(v) for k, v in row.items()}
+                for row in csv.DictReader(io.StringIO(out_path.read_text()))]
+    assert len(rows) == n1 * n2
+    taus1, taus2 = np.linspace(0, 7.5, n1), np.linspace(0.25, 9, n2)
+    e = np.array(SWEEP_ENERGIES)
+    moduli_spectrum = e if mode == "free-evolution" else np.zeros(16)
+    for k, row in enumerate(rows):
+        t1, t2 = taus1[k // n2], taus2[k % n2]
+        assert (row["tau1"], row["tau2"]) == (t1, t2)  # row-major, tau1 outer
+        weights = np.abs(expected_final_state(moduli_spectrum, t1, t2).reshape(4, 4)) ** 2
+        for x in range(4):
+            assert abs(row[f"p{x}"] - weights[x].sum()) <= 1e-12
+        assert abs(row["amp11_mod"] - math.sqrt(weights[1, 1])) <= 1e-12
+        # Branch x ends with phase E[x,0]*tau1 + E[x,y]*tau2, y = 3^x mod 4.
+        branch = [e[idx(x, 0)] * t1 + e[idx(x, (1, 3, 1, 3)[x])] * t2 for x in range(4)]
+        for delta, (a, b) in ((row["delta1"], (2, 0)), (row["delta2"], (3, 1))):
+            assert abs(statevec.wrap_phase(delta - (branch[a] - branch[b]))) <= 1e-9
+        assert row["satisfied"] == (abs(row["delta1"]) <= 1e-9 and abs(row["delta2"]) <= 1e-9)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tau1-start", "1", "--tau1-stop", "-1", "--tau1-count", "3"],
+     "config error: tau1 must be finite and non-negative, got -1.0\n"),
+    (["--tau1-start", "0", "--tau1-stop", "1", "--tau1-count", "3", "--tolerance", "inf"],
+     "config error: tolerance must be positive, got inf\n"),
+])
+def test_sweep_error_text(capsys, tmp_path, flags, message):
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run_cli(capsys, "sweep", *flags, "--tau2-start", "0", "--tau2-stop", "1",
+                             "--tau2-count", "2", "--out", str(out_path))
+    assert (code, out, err) == (1, "", message)
+    assert not out_path.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_first_failing_point_decides(capsys, tmp_path):
+    # On the tau2 axis, E = 1e305 overflows the free-evolution phase from the
+    # second point on, while the residual gap E[3,3] - E[1,3] = 2e300 overflows
+    # only from tau2 = 9e7. Point by point, the phase fails first.
+    energies = [0.0] * 16
+    energies[idx(1, 1)], energies[idx(3, 3)], energies[idx(1, 3)] = 1e305, 1e300, -1e300
+    code, _, err = run_cli(
+        capsys, "sweep", "--tau1-start", "0", "--tau1-stop", "0", "--tau1-count", "1",
+        "--tau2-start", "0", "--tau2-stop", "1e9", "--tau2-count", "101",
+        "--energies", ",".join(map(repr, energies)), "--out", str(tmp_path / "grid.csv"),
+    )
+    assert code == 1
+    assert err.startswith("error: state is not normalized: non-finite phase")
+    assert err.endswith("dt = 10000000.0\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_natural_phase_sweep_refuses_infinite_total_delay(capsys, tmp_path):
+    # tau1 + tau2 = 1e308 + 1e308 overflows; the terminal phase names it.
+    out_path = tmp_path / "grid.csv"
+    code, _, err = run_cli(
+        capsys, "sweep", "--tau1-start", "0", "--tau1-stop", "1e308", "--tau1-count", "2",
+        "--tau2-start", "0", "--tau2-stop", "1e308", "--tau2-count", "2",
+        "--mode", "natural-phase", "--omega", "0,0,0,0", "--out", str(out_path),
+    )
+    assert code == 1
+    assert err == "error: state is not normalized: non-finite phase E*dt for E = 0.0, dt = inf\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--tau1-start", "0", "--tau1-stop", "1e300", "--tau1-count", "2",
+     "--tau2-start", "0", "--tau2-stop", "0", "--tau2-count", "1", "--out", "grid.csv"],
+    ["shor-demo", "--tau1", "1e300"],
+])
+def test_overflowing_phase_leaves_clean_stderr(tmp_path, command):
+    # The refusal is one line naming the phase: no numpy warning, no source path.
+    package_root = Path(shorphase.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    env.pop(cli.FORMAT_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "shorphase", *command, "--energies", ",".join(["1e10"] * 16)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: state is not normalized: non-finite phase E*dt for E = 10000000000.0, dt = 1e+300\n"
+    )
+    assert not (tmp_path / "grid.csv").exists()
 
 
 # ---------------------------------------------------------------------------

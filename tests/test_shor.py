@@ -92,6 +92,32 @@ def test_check_condition_rejects_bad_tolerance():
         shor.check_condition(DEFAULT_SPECTRUM, DelaySchedule(0.0, 0.0), tol=-1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+def test_check_condition_refuses_non_finite_residuals():
+    # (E[2,0] - E[0,0]) * tau1 overflows: no NaN verdict and no numpy warning.
+    with pytest.raises(ValueError, match="not finite"):
+        shor.check_condition(statevec.make_spectrum((1.0, 1e300, 1.0, 1.0)),
+                             DelaySchedule(1e300, 0.0))
+
+
+def residual_overflow_spectrum() -> np.ndarray:
+    # E[2,0] - E[0,0] overflows although every E*tau of the pipeline stays finite.
+    table = np.zeros(16)
+    table[idx(2, 0)] = 1e308
+    table[idx(0, 0)] = -1e308
+    return table
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_experiment_refuses_non_finite_residuals():
+    config = config_for(residual_overflow_spectrum(), tau1=0.5)
+    np.testing.assert_array_equal(np.isfinite(transforms.run_pipeline(config)), True)
+    with pytest.raises(ValueError, match="interference residuals are not finite"):
+        shor.run_experiment(config)
+    report = shor.sweep([config])[0]
+    assert "not finite" in report.error and report.residuals is None
+
+
 # ---------------------------------------------------------------------------
 # period extraction and factoring
 

@@ -96,6 +96,42 @@ def test_free_evolve_unitarity_random():
         assert abs(statevec.norm(statevec.free_evolve(state, spectrum, dt)) - 1.0) <= 1e-12
 
 
+def test_free_evolve_batch_matches_scalar_calls():
+    rng = np.random.default_rng(15)
+    spectrum = 5.0 * rng.standard_normal(16)
+    dts = rng.uniform(0.0, 10.0, size=37)
+    state = random_state(rng)
+    states = np.array([random_state(rng) for _ in dts])
+    one_state = statevec.free_evolve(state, spectrum, dts)
+    per_row = statevec.free_evolve(states, spectrum, dts)
+    assert one_state.shape == per_row.shape == (37, 16)
+    for k, dt in enumerate(dts):
+        np.testing.assert_allclose(one_state[k], statevec.free_evolve(state, spectrum, float(dt)),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(per_row[k], statevec.free_evolve(states[k], spectrum, float(dt)),
+                                   rtol=0, atol=1e-15)
+
+
+def test_free_evolve_batch_names_first_bad_delay():
+    with pytest.raises(ValueError, match=r"got -1\.0$"):
+        statevec.free_evolve(statevec.init_ground(), np.zeros(16), np.array([0.5, -1.0, math.nan]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_free_evolve_refuses_overflowing_phase():
+    # E*dt overflows while E and dt are finite: refused before numpy can warn.
+    spectrum = np.full(16, 1e10)
+    refusal = r"^state is not normalized: non-finite phase .*dt = 1e\+300$"
+    with pytest.raises(ValueError, match=refusal):
+        statevec.free_evolve(statevec.init_ground(), spectrum, 1e300)
+    # In a batch the first overflowing row is named.
+    with pytest.raises(ValueError, match=r"dt = 2e\+299$"):
+        statevec.free_evolve(statevec.init_ground(), spectrum, np.array([1.0, 2e299, 1e300]))
+    # Huge but finite products still evolve.
+    out = statevec.free_evolve(statevec.init_ground(), spectrum, 1e290)
+    assert np.all(np.isfinite(out))
+
+
 def test_free_evolve_composition():
     rng = np.random.default_rng(14)
     for _ in range(50):

@@ -110,6 +110,27 @@ def test_apply_mod_exp_rejects_weight_outside_y0():
         transforms.apply_mod_exp(state)
 
 
+def test_stages_act_row_by_row_on_batches():
+    rng = np.random.default_rng(23)
+    y0_states = np.array([random_y0_state(rng) for _ in range(9)])
+    states = np.array([random_state(rng) for _ in range(9)])
+    for stage, batch in ((transforms.apply_mod_exp, y0_states), (transforms.superpose_x, states),
+                         (transforms.dft_x, states)):
+        out = stage(batch)
+        assert out.shape == (9, 16)
+        for row, single in zip(out, batch):
+            np.testing.assert_allclose(row, stage(single), rtol=0, atol=1e-15)
+
+
+def test_apply_mod_exp_names_first_leaking_row():
+    batch = np.zeros((3, 16), dtype=complex)
+    batch[:, idx(0, 0)] = 1.0
+    batch[1, idx(2, 3)] = 0.25
+    batch[2, idx(1, 1)] = 0.5
+    with pytest.raises(ValueError, match=r"max modulus 2\.500e-01"):
+        transforms.apply_mod_exp(batch)
+
+
 # ---------------------------------------------------------------------------
 # dft_x
 
