@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -64,7 +65,15 @@ class UsageError(Exception):
     """Bad flags or unusable inputs; maps to exit code 1."""
 
 
+#: A negative number, exponent form included; argparse's own pattern takes -1e308 for a flag.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits with code 2 by default, which collides with the
     # no-factor exit code; route everything through UsageError instead.
     def error(self, message):

@@ -276,6 +276,55 @@ def test_pulse_flag_validation(capsys):
                    "--duration", "0")[0] == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rabi", "1e30"],
+     "integration diverged: non-finite amplitude after 1000 RK4 steps of dt = 0.001"),
+    (["--area", "1", "--step", "1e-300"],
+     "tau = 1.0 in steps of 1e-300 needs 1e+300 RK4 steps, more than the limit of 10000000"),
+    (["--area", "1", "--duration", "1e10", "--step", "5e-324"],
+     "tau = 10000000000.0 in steps of 5e-324 needs inf RK4 steps, more than the limit of 10000000"),
+], ids=["diverged", "too-many-steps", "step-count-overflows"])
+def test_pulse_integrator_refusals_leave_clean_stderr(tmp_path, flags, message):
+    # A diverged integration or an unfinishable step count is one clean line
+    # and exit 1: no NaN report, no numpy warning, no traceback, no endless run.
+    package_root = Path(shorphase.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    env.pop(cli.FORMAT_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "shorphase", "pulse", "--mode", "coherent", *flags],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--tau1-start", "-1e308", "--tau1-stop", "1", "--tau1-count", "2",
+      "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "2", "--out", "grid.csv"],
+     "config error: tau1 must be finite and non-negative, got -1e+308\n"),
+    (["shor-demo", "--tau2", "-1E-3"],
+     "config error: tau2 must be finite and non-negative, got -0.001\n"),
+    (["check-condition", "--tau1", "-2.5e2"],
+     "error: tau1 must be finite and non-negative, got -250.0\n"),
+], ids=["sweep", "shor-demo", "check-condition"])
+def test_negative_exponent_values_reach_validation(capsys, tmp_path, monkeypatch, argv, message):
+    # argparse's default negative-number pattern takes "-1e308" for a flag and
+    # fails with "expected one argument"; the value must reach the range check.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", message)
+
+
+def test_pulse_takes_negative_exponent_values(capsys):
+    code, out, _ = run_cli(capsys, "pulse", "--area", "1", "--t0", "-2.5e-1", "--phase", "-.5e1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["t0"] == -0.25
+    assert report["phase"] == statevec.wrap_phase(-5.0)
+
+
 # ---------------------------------------------------------------------------
 # check-condition
 

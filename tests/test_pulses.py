@@ -1,6 +1,7 @@
 """Two-level pulse dynamics: closed forms, phase laws, and the integrator oracle."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -313,6 +314,55 @@ def test_ode_rejects_bad_step_and_sudden_mode():
     sudden = PulseSpec(mode=PulseMode.SUDDEN, area=1.0)
     with pytest.raises(ValueError):
         pulses.integrate_ode(system, sudden, init)
+
+
+# (mode, rabi, t0, tau, phase, init, step) and float.hex of Re/Im of c_k, c_p.
+PINNED_ODE_BITS = [
+    ((PulseMode.COHERENT, 1.9, 0.35, 1.3, 0.4, natural_init(0.8, 0.7, 0.35), None),
+     ("0x1.b4241cb728ad5p-4", "-0x1.ede2e3627319ep-3", "-0x1.5854e29af0539p-1",
+      "0x1.60151e2125c97p-2")),
+    ((PulseMode.NONCOHERENT, 2.6, -0.45, 0.8, -2.2, natural_init(1.0, 0.7, -0.45), None),
+     ("0x1.f6e3bf9727635p-2", "-0x1.f6ef6c3ccf08dp-4", "-0x1.563b300543aefp-3",
+      "0x1.b12ebb3d88e86p-1")),
+    ((PulseMode.PHASE_CORRECTED, 0.9, 1.7, 2.1, 1.3, natural_init(0.6, 0.7, 1.7), None),
+     ("-0x1.3ef27083f4397p-2", "-0x1.4d630e65d04ddp-3", "-0x1.e5ca60f1c4052p-4",
+      "0x1.e2eebfecbca16p-2")),
+    ((PulseMode.COHERENT, 3.0, -0.2, 0.9, -1.1, TwoLevelState(0.6 + 0.1j, -0.3 + 0.72j), None),
+     ("0x1.1822e7b92a97dp-2", "0x1.5ef9cb2ed629bp-1", "0x1.34dededfee0d3p-1",
+      "0x1.0e639fd8fb407p-2")),
+    ((PulseMode.NONCOHERENT, 2.4, 0.5, 1.1, 2.0, natural_init(1.0, 0.7, 0.5), 0.0037),
+     ("0x1.bae200606bd75p-4", "-0x1.c97cf0778f08dp-3", "-0x1.4f9987f19d842p-1",
+      "0x1.6d333829a266dp-1")),
+]
+
+
+@pytest.mark.parametrize("case, bits", PINNED_ODE_BITS)
+def test_integrate_ode_bits_pinned(case, bits):
+    # The integrator's exact output bits; a reordered operation shows here
+    # long before it shows against the closed forms' tolerances.
+    mode, rabi, t0, tau, phase, init, step = case
+    pulse = PulseSpec(mode=mode, rabi=rabi, t0=t0, tau=tau, phase=phase)
+    out = pulses.integrate_ode(TwoLevelSystem(0.7, 2.9), pulse, init, step)
+    assert tuple(v.hex() for v in (out.c_k.real, out.c_k.imag, out.c_p.real, out.c_p.imag)) == bits
+
+
+def test_integrate_ode_refuses_divergence():
+    system = TwoLevelSystem(1.0, 3.0)
+    pulse = PulseSpec(mode=PulseMode.COHERENT, rabi=1e30, tau=1.0, phase=HALF_PI)
+    with pytest.raises(ValueError, match=r"non-finite amplitude after 1000 RK4 steps of dt = 0\.001$"):
+        pulses.integrate_ode(system, pulse, natural_init(1.0, 1.0, 0.0))
+
+
+def test_integrate_ode_refuses_unfinishable_step_counts(monkeypatch):
+    system = TwoLevelSystem(1.0, 3.0)
+    init = natural_init(1.0, 1.0, 0.0)
+    pulse = PulseSpec(mode=PulseMode.COHERENT, rabi=2.0, tau=1.0)
+    monkeypatch.setattr(pulses, "_MAX_STEPS", 100)
+    pulses.integrate_ode(system, pulse, init, step=0.01)  # exactly at the limit
+    # Too many steps, a step count that overflows, and a default step that underflows to 0.
+    for tau, step in ((1.0, 0.0099), (1.0, 1e-300), (1e10, 5e-324), (5e-324, None)):
+        with pytest.raises(ValueError, match="RK4 steps, more than the limit of 100$"):
+            pulses.integrate_ode(system, dataclasses.replace(pulse, tau=tau), init, step)
 
 
 def test_closed_forms_conserve_probability():
