@@ -24,11 +24,13 @@ import numpy as np
 
 from . import pulses, shor, statevec, transforms
 from .config import (
+    _CONFIG_FIELDS,
     OUTPUT_FORMATS,
     ConfigError,
     DelaySchedule,
     ExperimentConfig,
     PipelineMode,
+    _config_settings,
     build_config,
     config_to_text,
     float_list,
@@ -56,6 +58,15 @@ CONDITION_CSV_COLUMNS = ("tau1", "tau2", "delta1", "delta2", "satisfied")
 SWEEP_CSV_COLUMNS = (
     "tau1", "tau2", "delta1", "delta2", "satisfied", "p0", "p1", "p2", "p3", "amp11_mod",
 )
+
+#: JSON path of each CSV column that is not a top-level field of its report.
+_CSV_PATHS = {
+    **{column: ("config", column) for column in ("mode", "tau1", "tau2", "seed")},
+    **{column: ("residuals", column) for column in ("delta1", "delta2", "satisfied")},
+    **{f"p{x}": ("x_distribution", str(x)) for x in range(4)},
+    "ck_modulus": ("c_k", "modulus"), "ck_phase": ("c_k", "phase"),
+    "cp_modulus": ("c_p", "modulus"), "cp_phase": ("c_p", "phase"),
+}
 
 #: Grid points that ``sweep`` computes as one batch; bounds its array memory.
 _SWEEP_CHUNK = 2048
@@ -117,10 +128,19 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _render(fmt: str, columns, records, json_value) -> str:
-    """``json_value`` as indented JSON, or ``records`` as CSV cells looked up by column name."""
+def _csv_field(report: dict, column: str):
+    """The value of ``column``: a top-level field of ``report``, else the one at its path."""
+    if column in report:
+        return report[column]
+    outer, inner = _CSV_PATHS[column]
+    return report[outer][inner]
+
+
+def _render(fmt: str, columns, report) -> str:
+    """``report`` as indented JSON, or as CSV: a list holds flat rows, a dict is one report."""
     if fmt == "json":
-        return json.dumps(json_value, indent=2) + "\n"
+        return json.dumps(report, indent=2) + "\n"
+    records = report if isinstance(report, list) else [{c: _csv_field(report, c) for c in columns}]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -169,50 +189,12 @@ def _assemble_config(args) -> ExperimentConfig:
         settings.pop("energies", None)
         settings.update(spectrum)
 
-    for key, value in (
-        ("mode", args.mode),
-        ("tau1", args.tau1),
-        ("tau2", args.tau2),
-        ("seed", args.seed),
-        ("retry_cap", args.retry_cap),
-        ("tolerance", args.tolerance),
-    ):
-        if value is not None:
-            settings[key] = value
+    # Each of these flags has its settings key as its dest.
+    for key in ("mode", "tau1", "tau2", "seed", "retry_cap", "tolerance"):
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     settings["format"] = _format(args, settings.get("format"))
     return build_config(settings)
-
-
-def _config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "mode": config.mode.value,
-        "tau1": config.delays.tau1,
-        "tau2": config.delays.tau2,
-        "spectrum": list(config.spectrum),
-        "seed": config.seed,
-        "retry_cap": config.retry_cap,
-        "tolerance": config.tolerance,
-        "output_format": config.output_format,
-    }
-
-
-def report_to_dict(report: shor.RunReport) -> dict:
-    """JSON form of a run report; validates against the shipped run_report schema."""
-    return {
-        "config": _config_to_dict(report.config),
-        "final_state": statevec.state_to_json(report.final_state),
-        "x_distribution": {str(x): p for x, p in sorted(report.x_distribution.items())},
-        "residuals": {
-            "delta1": report.residuals.delta1,
-            "delta2": report.residuals.delta2,
-            "satisfied": report.residuals.satisfied,
-        },
-        "measured_x": report.measured_x,
-        "period": report.period,
-        "factor": report.factor,
-        "retries": report.retries,
-        "diagnostic": report.diagnostic,
-    }
 
 
 def cmd_shor_demo(args) -> int:
@@ -220,14 +202,19 @@ def cmd_shor_demo(args) -> int:
     if args.dump_config is not None:
         Path(args.dump_config).write_text(config_to_text(config))
     report = shor.run_experiment(config)
-    result = report_to_dict(report)
-    record = {
-        **result,
-        **{key: result["config"][key] for key in ("mode", "tau1", "tau2", "seed")},
-        **result["residuals"],
-        **{f"p{x}": p for x, p in report.x_distribution.items()},
+    # The JSON run report; it validates against the shipped run_report schema.
+    result = {
+        "config": {_CONFIG_FIELDS.get(k, k): v for k, v in _config_settings(config).items()},
+        "final_state": statevec.state_to_json(report.final_state),
+        "x_distribution": {str(x): p for x, p in sorted(report.x_distribution.items())},
+        "residuals": dataclasses.asdict(report.residuals),
+        "measured_x": report.measured_x,
+        "period": report.period,
+        "factor": report.factor,
+        "retries": report.retries,
+        "diagnostic": report.diagnostic,
     }
-    _emit(_render(config.output_format, RUN_CSV_COLUMNS, [record], result))
+    _emit(_render(config.output_format, RUN_CSV_COLUMNS, result))
     return EXIT_OK if report.factor is not None else EXIT_NO_FACTOR
 
 
@@ -301,13 +288,8 @@ def _pulse_result(args) -> dict:
 
 
 def cmd_pulse(args) -> int:
-    result = _pulse_result(args)
-    record = {
-        **result,
-        "ck_modulus": result["c_k"]["modulus"], "ck_phase": result["c_k"]["phase"],
-        "cp_modulus": result["c_p"]["modulus"], "cp_phase": result["c_p"]["phase"],
-    }
-    _emit(_render(_format(args), PULSE_CSV_COLUMNS, [record], result))
+    result = _pulse_result(args)  # before _format, so a bad pulse is named before a bad format
+    _emit(_render(_format(args), PULSE_CSV_COLUMNS, result))
     return EXIT_OK
 
 
@@ -321,14 +303,8 @@ def cmd_check_condition(args) -> int:
     except ConfigError as exc:
         raise UsageError(str(exc)) from None
     residual = shor.check_condition(_spectrum_table(args), delays, args.tolerance)
-    result = {
-        "tau1": delays.tau1,
-        "tau2": delays.tau2,
-        "delta1": residual.delta1,
-        "delta2": residual.delta2,
-        "satisfied": residual.satisfied,
-    }
-    _emit(_render(_format(args), CONDITION_CSV_COLUMNS, [result], result))
+    result = {"tau1": delays.tau1, "tau2": delays.tau2, **dataclasses.asdict(residual)}
+    _emit(_render(_format(args), CONDITION_CSV_COLUMNS, result))
     return EXIT_OK
 
 
@@ -357,8 +333,7 @@ def _sweep_rows(args, spectrum: np.ndarray) -> list[dict]:
     taus2 = np.linspace(args.tau2_start, args.tau2_stop, args.tau2_count)
     # The first point's delays are checked before the shared settings, the
     # order in which a point-by-point walk of the grid meets them.
-    first = DelaySchedule(float(taus1[0]), float(taus2[0]))
-    shor.check_condition(spectrum, first, args.tolerance)
+    DelaySchedule(float(taus1[0]), float(taus2[0]))
     config = ExperimentConfig(
         mode=args.mode or PipelineMode.FREE_EVOLUTION, spectrum=tuple(spectrum),
         tolerance=args.tolerance,
@@ -385,7 +360,7 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"--{name.replace('_', '-')} must be at least 1")
     rows = _sweep_rows(args, _spectrum_table(args))
     fmt = _format(args, {".json": "json", ".csv": "csv"}.get(Path(args.out).suffix.lower()))
-    Path(args.out).write_text(_render(fmt, SWEEP_CSV_COLUMNS, rows, rows))
+    Path(args.out).write_text(_render(fmt, SWEEP_CSV_COLUMNS, rows))
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 

@@ -174,18 +174,25 @@ def build_config(settings: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def _config_settings(config: ExperimentConfig) -> dict:
+    """A config's settings in file order; ``build_config`` turns them back into ``config``."""
+    return {
+        "mode": config.mode.value,
+        "tau1": config.delays.tau1,
+        "tau2": config.delays.tau2,
+        "energies": list(config.spectrum),
+        "seed": config.seed,
+        "retry_cap": config.retry_cap,
+        "tolerance": config.tolerance,
+        "format": config.output_format,
+    }
+
+
 def config_to_text(config: ExperimentConfig) -> str:
     """Serialize a config to the text format; reloading reproduces the same run."""
-    energies = ", ".join(repr(e) for e in config.spectrum)
-    lines = [
-        "# shorphase experiment config",
-        f"mode = {config.mode.value}",
-        f"tau1 = {config.delays.tau1!r}",
-        f"tau2 = {config.delays.tau2!r}",
-        f"energies = {energies}",
-        f"seed = {config.seed}",
-        f"retry_cap = {config.retry_cap}",
-        f"tolerance = {config.tolerance!r}",
-        f"format = {config.output_format}",
-    ]
+    lines = ["# shorphase experiment config"]
+    for key, value in _config_settings(config).items():
+        if key == "energies":
+            value = ", ".join(map(repr, value))
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

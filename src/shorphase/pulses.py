@@ -121,7 +121,14 @@ class TwoLevelState:
 
 
 def natural_init(modulus: float, e_k: float, t0: float) -> TwoLevelState:
-    """Population in |k> only, carrying its natural phase exp(-i*E_k*t0)."""
+    """Population in |k> only, carrying its natural phase exp(-i*E_k*t0).
+
+    A t0 that is not finite, and a product E_k*t0 that overflows, are refused.
+    """
+    if not math.isfinite(t0):
+        raise ValueError("t0 must be finite")
+    if not math.isfinite(e_k * t0):
+        raise ValueError(f"non-finite phase E*t for E = {e_k!r}, t = {t0!r}")
     return TwoLevelState(modulus * cmath.exp(-1j * e_k * t0), 0.0)
 
 
@@ -129,10 +136,12 @@ def _closed_form(sys: TwoLevelSystem, pulse: PulseSpec, phi_eff: float,
                  init: TwoLevelState) -> TwoLevelState:
     # Exact solution for C_p(t0) = 0 under drive argument w_pk*t + phi_eff.
     alpha = pulse.pulse_area
+    newborn = 0.5 * math.pi - phi_eff + sys.e_k * pulse.t0 - sys.e_p * (pulse.t0 + pulse.tau)
+    if not (math.isfinite(sys.e_k * pulse.tau) and math.isfinite(newborn)):
+        raise ValueError(f"non-finite phase E*t for E_k = {sys.e_k!r}, E_p = {sys.e_p!r}, "
+                         f"t0 = {pulse.t0!r}, tau = {pulse.tau!r}")
     c_k = init.c_k * math.cos(alpha) * cmath.exp(-1j * sys.e_k * pulse.tau)
-    c_p = init.c_k * math.sin(alpha) * cmath.exp(
-        1j * (0.5 * math.pi - phi_eff + sys.e_k * pulse.t0 - sys.e_p * (pulse.t0 + pulse.tau))
-    )
+    c_p = init.c_k * math.sin(alpha) * cmath.exp(1j * newborn)
     return TwoLevelState(c_k, c_p)
 
 
@@ -214,8 +223,9 @@ def integrate_ode(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState,
     with theta the mode's drive argument, integrated from t0 to t0+tau in
     ceil(tau/step) equal steps. The default step tau/1000 keeps the error and
     the norm drift far below the closed forms' comparison tolerances. A step
-    count above ``_MAX_STEPS`` or not finite, and an integration that ends in a
-    non-finite amplitude, raise ValueError. Not defined for sudden pulses.
+    count above ``_MAX_STEPS`` or not finite, a t0 so large that t0 + dt == t0,
+    and an integration that ends in a non-finite amplitude, raise ValueError.
+    Not defined for sudden pulses.
     """
     if pulse.mode is PulseMode.SUDDEN:
         raise ValueError("sudden pulses are instantaneous; use evolve_sudden")
@@ -233,6 +243,9 @@ def integrate_ode(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState,
                          f"more than the limit of {_MAX_STEPS}")
     n_steps = max(1, math.ceil(steps_needed))
     dt = tau / n_steps
+    if pulse.t0 + dt == pulse.t0:
+        raise ValueError(f"RK4 clock cannot advance: t0 + dt == t0 for t0 = {pulse.t0!r}, "
+                         f"dt = {dt!r}")
 
     # The state is two Python complex scalars. Each stage evaluates the
     # right-hand side with the same operations in the same order as

@@ -53,10 +53,11 @@ class ConditionResidual:
 def _residuals(spectrum, tau1, tau2, tol: float):
     """Wrapped residuals delta1, delta2 and the verdict, for scalar or (B,) delays.
 
-    A residual that is not finite (E*tau overflowed) is refused, naming the
+    The tolerance must be positive and finite, as in ``ExperimentConfig``. A
+    residual that is not finite (E*tau overflowed) is refused, naming the
     first bad row, instead of being wrapped into NaN.
     """
-    if not tol > 0:
+    if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be positive, got {tol}")
     e = statevec.make_spectrum(spectrum).tolist()
 

@@ -150,9 +150,31 @@ def test_config_file_format_overrides_env(capsys, monkeypatch, tmp_path):
     assert out.splitlines()[0] == ",".join(cli.RUN_CSV_COLUMNS)
 
 
-def test_csv_columns_match_schema(schemas):
+def test_csv_columns_match_schema(capsys, schemas):
     assert list(cli.CONDITION_CSV_COLUMNS) == schemas["condition_report"]["required"]
     assert list(cli.SWEEP_CSV_COLUMNS) == schemas["sweep_row"]["required"]
+    # Run and pulse columns are read from a nested report: each column's JSON
+    # path, followed through a report the CLI printed, passes only through
+    # properties its schema requires and ends at the value of the CSV cell.
+    for kind, columns, argv in (
+        ("run_report", cli.RUN_CSV_COLUMNS, ["shor-demo", "--tau1", "0.1", "--tau2", "0.2"]),
+        ("pulse_report", cli.PULSE_CSV_COLUMNS,
+         ["pulse", "--mode", "noncoherent", "--area", "1", "--t0", "0.5"]),
+    ):
+        report = json.loads(run_cli(capsys, *argv, "--format", "json")[1])
+        header, row = csv.reader(io.StringIO(run_cli(capsys, *argv, "--format", "csv")[1]))
+        assert header == list(columns)
+        for column, cell in zip(header, row):
+            path = (column,) if column in report else cli._CSV_PATHS[column]
+            assert column.endswith(path[-1])  # p0 is x_distribution.0, ck_phase is c_k.phase
+            schema, value = schemas[kind], report
+            for key in path:
+                assert key in schema["required"], (kind, column, path)
+                schema = schema["properties"][key]
+                if "$ref" in schema:  # "#/definitions/<name>"
+                    schema = schemas[kind]["definitions"][schema["$ref"].rsplit("/", 1)[1]]
+                value = value[key]
+            assert cell == cli._csv_cell(value)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +322,36 @@ def test_pulse_integrator_refusals_leave_clean_stderr(tmp_path, flags, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--energies", "1e300,3e300", "--area", "1", "--t0", "1e10"],
+     "non-finite phase E*t for E = 1e+300, t = 10000000000.0"),
+    (["--energies", "1e200,1e200", "--area", "1", "--duration", "1e200"],
+     "non-finite phase E*t for E_k = 1e+200, E_p = 1e+200, t0 = 0.0, tau = 1e+200"),
+    (["--mode", "sudden", "--area", "1", "--t0", "inf"], "t0 must be finite"),
+], ids=["initial-phase", "closed-form-phase", "sudden-infinite-t0"])
+def test_pulse_refuses_overflowing_phases(capsys, flags, message):
+    # An overflowing E*t used to end in a bare "math domain error", and an
+    # infinite t0 in a sudden pulse used to print NaN amplitudes with exit 0.
+    code, out, err = run_cli(capsys, "pulse", *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_pulse_refuses_a_clock_that_cannot_advance(tmp_path):
+    # At t0 = 1e300, t0 + 0.001 == t0: the integrator would step a frozen clock
+    # and report rounding noise as an ODE discrepancy.
+    package_root = Path(shorphase.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    env.pop(cli.FORMAT_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "shorphase", "pulse", "--mode", "noncoherent", "--area", "1",
+         "--t0", "1e300"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: RK4 clock cannot advance: t0 + dt == t0 for t0 = 1e+300, dt = 0.001\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--tau1-start", "-1e308", "--tau1-stop", "1", "--tau1-count", "2",
       "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "2", "--out", "grid.csv"],
@@ -354,6 +406,13 @@ def test_check_condition_refuses_non_finite_residuals(capsys):
     assert out == ""
     assert err.startswith("error: interference residuals are not finite")
     assert "NaN" not in err and "nan" not in err
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan"])
+def test_check_condition_refuses_non_finite_tolerance(capsys, tolerance):
+    # With tau1 = 1 both residuals are 2.3; an infinite tolerance used to pass them.
+    code, out, err = run_cli(capsys, "check-condition", "--tolerance", tolerance, "--tau1", "1")
+    assert (code, out, err) == (1, "", f"error: tolerance must be positive, got {tolerance}\n")
 
 
 # ---------------------------------------------------------------------------

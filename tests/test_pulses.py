@@ -365,6 +365,34 @@ def test_integrate_ode_refuses_unfinishable_step_counts(monkeypatch):
             pulses.integrate_ode(system, dataclasses.replace(pulse, tau=tau), init, step)
 
 
+def test_integrate_ode_refuses_a_clock_that_cannot_advance():
+    system = TwoLevelSystem(1.0, 3.0)
+    init = TwoLevelState(1.0, 0.0)
+    pulse = PulseSpec(mode=PulseMode.NONCOHERENT, rabi=2.0, t0=1e17, tau=1.0)
+    with pytest.raises(ValueError, match=r"t0 \+ dt == t0 for t0 = 1e\+17, dt = 0\.001$"):
+        pulses.integrate_ode(system, pulse, init)
+    pulses.integrate_ode(system, dataclasses.replace(pulse, t0=1e12), init)  # the clock moves
+
+
+def test_natural_init_refuses_overflowing_phase():
+    with pytest.raises(ValueError, match=r"^non-finite phase E\*t for E = 1e\+300, t = 10000000000\.0$"):
+        natural_init(1.0, 1e300, 1e10)
+    with pytest.raises(ValueError, match="^t0 must be finite$"):
+        natural_init(1.0, 1.0, math.inf)
+
+
+@pytest.mark.parametrize("mode", [PulseMode.COHERENT, PulseMode.NONCOHERENT,
+                                  PulseMode.PHASE_CORRECTED])
+def test_closed_forms_refuse_overflowing_phase(mode):
+    evolve = getattr(pulses, f"evolve_{mode.name.lower()}")
+    init = natural_init(1.0, 0.0, 0.0)
+    # E_k*tau overflows; then E_p*(t0 + tau) does; then the drive frequency E_p - E_k does.
+    for e_k, e_p, tau in ((1e200, 1.0, 1e200), (1.0, 1e200, 1e200), (-1e308, 1e308, 1.0)):
+        pulse = PulseSpec(mode=mode, rabi=1.0, tau=tau)
+        with pytest.raises(ValueError, match=r"^non-finite phase E\*t for E_k = "):
+            evolve(TwoLevelSystem(e_k, e_p), pulse, init)
+
+
 def test_closed_forms_conserve_probability():
     rng = np.random.default_rng(51)
     for _ in range(50):

@@ -92,6 +92,13 @@ def test_check_condition_rejects_bad_tolerance():
         shor.check_condition(DEFAULT_SPECTRUM, DelaySchedule(0.0, 0.0), tol=-1e-9)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan], ids=["inf", "nan"])
+def test_check_condition_refuses_non_finite_tolerance(tol):
+    # An infinite tolerance would call every residual satisfied.
+    with pytest.raises(ValueError, match=f"^tolerance must be positive, got {tol}$"):
+        shor.check_condition(DEFAULT_SPECTRUM, DelaySchedule(1.0, 0.0), tol=tol)
+
+
 @pytest.mark.filterwarnings("error")
 def test_check_condition_refuses_non_finite_residuals():
     # (E[2,0] - E[0,0]) * tau1 overflows: no NaN verdict and no numpy warning.
