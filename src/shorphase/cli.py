@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pulses, shor, statevec, transforms
+from . import pulses, shor, statevec
 from .config import (
     _CONFIG_FIELDS,
     OUTPUT_FORMATS,
@@ -37,6 +37,7 @@ from .config import (
     parse_config_text,
 )
 from .pulses import PulseMode, PulseSpec, TwoLevelSystem, natural_init
+from .shor import _SWEEP_CHUNK
 from .statevec import wrap_phase
 
 FORMAT_ENV_VAR = "SHORPHASE_FORMAT"
@@ -68,16 +69,18 @@ _CSV_PATHS = {
     "cp_modulus": ("c_p", "modulus"), "cp_phase": ("c_p", "phase"),
 }
 
-#: Grid points that ``sweep`` computes as one batch; bounds its array memory.
-_SWEEP_CHUNK = 2048
-
 
 class UsageError(Exception):
     """Bad flags or unusable inputs; maps to exit code 1."""
 
 
-#: A negative number, exponent form included; argparse's own pattern takes -1e308 for a flag.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+#: A number without its sign, exponent form included. Each string has one way
+#: to match, so a list that fails to match fails at once instead of backtracking.
+_UNSIGNED = r"(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?"
+
+#: A negative number, or a comma list of numbers that starts with one; argparse's
+#: own pattern takes -1e308 or -1,2,3,4 for a flag.
+_NEGATIVE_NUMBER = re.compile(rf"^-{_UNSIGNED}(,[-+]?{_UNSIGNED})*$")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -317,10 +320,9 @@ def _sweep_chunk(config: ExperimentConfig, tau1: np.ndarray, tau2: np.ndarray) -
     k = statevec._first(~(np.isfinite(tau1) & (tau1 >= 0.0) & np.isfinite(tau2) & (tau2 >= 0.0)))
     if k is not None:
         DelaySchedule(float(tau1[k]), float(tau2[k]))  # raises with the schedule's message
-    spectrum = np.asarray(config.spectrum)
-    delta1, delta2, satisfied = shor._residuals(spectrum, tau1, tau2, config.tolerance)
-    states = transforms._final_states(spectrum, config.mode, tau1, tau2)
-    marginals = statevec._x_marginals(states)
+    states, marginals, delta1, delta2, satisfied = shor._evaluate(
+        np.asarray(config.spectrum), config.mode, tau1, tau2, config.tolerance
+    )
     amp11 = states[:, statevec.basis_index(1, 1)]
     # hypot rounds as Python's abs(complex) does; np.abs can differ in the last bit.
     amp11_mod = np.hypot(amp11.real, amp11.imag)

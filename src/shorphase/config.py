@@ -91,7 +91,9 @@ class ExperimentConfig:
         if self.retry_cap < 1:
             raise ConfigError(f"retry_cap must be at least 1, got {self.retry_cap}")
         object.__setattr__(self, "tolerance", float(self.tolerance))
-        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
+        if not math.isfinite(self.tolerance):
+            raise ConfigError(f"tolerance must be finite, got {self.tolerance}")
+        if not self.tolerance > 0.0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(

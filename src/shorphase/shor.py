@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec, transforms
-from .config import DelaySchedule, ExperimentConfig
+from .config import DelaySchedule, ExperimentConfig, PipelineMode
 from .statevec import basis_index, wrap_phase
 
 #: Number of states in the x register.
@@ -30,6 +30,10 @@ _TRIVIAL = (1, 4)
 
 #: The x distribution of an undisturbed run.
 IDEAL_X_DISTRIBUTION = {0: 0.5, 1: 0.0, 2: 0.5, 3: 0.0}
+
+#: Configs that ``sweep`` computes as one batch, and grid points of the CLI
+#: sweep; bounds the array memory of one batch.
+_SWEEP_CHUNK = 2048
 
 
 class PeriodExtractionError(ValueError):
@@ -50,18 +54,25 @@ class ConditionResidual:
     satisfied: bool
 
 
-def _residuals(spectrum, tau1, tau2, tol: float):
+def _residuals(spectrum, tau1, tau2, tol):
     """Wrapped residuals delta1, delta2 and the verdict, for scalar or (B,) delays.
 
-    The tolerance must be positive and finite, as in ``ExperimentConfig``. A
-    residual that is not finite (E*tau overflowed) is refused, naming the
-    first bad row, instead of being wrapped into NaN.
+    ``spectrum`` is a 16-entry table or a (B, 16) array, one per row, and
+    ``tol`` a scalar or a (B,) array. The tolerance must be positive and
+    finite, as in ``ExperimentConfig``. A residual that is not finite (E*tau
+    overflowed) is refused, naming the first bad row, instead of being
+    wrapped into NaN.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    e = statevec.make_spectrum(spectrum).tolist()
+    i = statevec._first(~(np.isfinite(tol) & (tol > 0.0)))
+    if i is not None:
+        bad = np.ravel(tol)[i]
+        rule = "positive" if np.isfinite(bad) else "finite"
+        raise ValueError(f"tolerance must be {rule}, got {bad}")
+    # Entry k of e is E_k: a float, or the (B,) column of a (B, 16) batch.
+    e = np.asarray(spectrum, dtype=float)
+    e = e.tolist() if e.ndim == 1 else e.T
 
-    def gap(m: int, n: int, k: int, y: int) -> float:
+    def gap(m: int, n: int, k: int, y: int):
         return e[basis_index(m, n)] - e[basis_index(k, y)]
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -77,9 +88,27 @@ def _residuals(spectrum, tau1, tau2, tol: float):
     return delta1, delta2, (abs(delta1) <= tol) & (abs(delta2) <= tol)
 
 
+def _evaluate(spectrum, mode: PipelineMode, tau1, tau2, tol):
+    """Final states, x marginals and residuals delta1, delta2, satisfied.
+
+    ``spectrum`` is one 16-entry array for every row or a (B, 16) array, the
+    delays are scalars or (B,) arrays, and ``tol`` a scalar or a (B,) array.
+    Each check names its first bad row. A run fails as the pipeline would: a
+    bad phase, the y=0 leak or the norm is reported before a bad residual.
+    """
+    try:
+        residuals = _residuals(spectrum, tau1, tau2, tol)
+    except ValueError:
+        statevec._x_marginals(transforms._final_states(spectrum, mode, tau1, tau2))
+        raise
+    states = transforms._final_states(spectrum, mode, tau1, tau2)
+    return states, statevec._x_marginals(states), *residuals
+
+
 def check_condition(spectrum, delays: DelaySchedule, tol: float = 1e-9) -> ConditionResidual:
     """Evaluate both interference residuals for a spectrum and delay pair."""
-    delta1, delta2, satisfied = _residuals(spectrum, delays.tau1, delays.tau2, tol)
+    table = statevec.make_spectrum(spectrum)
+    delta1, delta2, satisfied = _residuals(table, delays.tau1, delays.tau2, tol)
     return ConditionResidual(delta1, delta2, bool(satisfied))
 
 
@@ -128,8 +157,8 @@ class RunReport:
     error: str | None = None
 
 
-def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Run the pipeline, measure, and post-process; deterministic given the seed.
+def _finish(config: ExperimentConfig, state, distribution, residuals) -> RunReport:
+    """The per-config step after the batch: seeded draw with retries, period and factor.
 
     x = 0 carries no period information, so the measurement is redrawn from
     the same seeded stream up to ``config.retry_cap`` times before giving up
@@ -137,10 +166,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     (possible only when interference is destroyed) is likewise reported as a
     diagnostic instead of a period.
     """
-    state = transforms.run_pipeline(config)
-    distribution = statevec.measure_x_distribution(state)
-    residuals = check_condition(config.spectrum, config.delays, config.tolerance)
-
     rng = np.random.default_rng(config.seed)
     measured = statevec.draw_x(distribution, rng)
     retries = 0
@@ -172,15 +197,71 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     return report
 
 
+def _evaluate_configs(configs: list) -> list[tuple]:
+    """(final state, x distribution, residuals) of each config, computed as one batch.
+
+    The configs share a mode; each brings its own spectrum, delays and tolerance.
+    """
+    states, marginals, delta1, delta2, satisfied = _evaluate(
+        np.array([c.spectrum for c in configs]),
+        configs[0].mode,
+        np.array([c.delays.tau1 for c in configs]),
+        np.array([c.delays.tau2 for c in configs]),
+        np.array([c.tolerance for c in configs]),
+    )
+    rows = zip(states, marginals.tolist(), delta1.tolist(), delta2.tolist(), satisfied.tolist())
+    return [(state, dict(enumerate(dist)), ConditionResidual(*residual))
+            for state, dist, *residual in rows]
+
+
+def _guarded(step, config, *args) -> RunReport:
+    """``step(config, *args)``, or a report carrying the error it raised."""
+    try:
+        return step(config, *args)
+    except Exception as exc:
+        return RunReport(config=config, error=f"{type(exc).__name__}: {exc}")
+
+
+def run_experiment(config: ExperimentConfig) -> RunReport:
+    """Run the pipeline, measure, and post-process; deterministic given the seed.
+
+    The one-config case of ``sweep``: the same core on scalar delays, then
+    ``_finish``. Errors are raised.
+    """
+    state, marginals, delta1, delta2, satisfied = _evaluate(
+        np.asarray(config.spectrum), config.mode, config.delays.tau1, config.delays.tau2,
+        config.tolerance,
+    )
+    residuals = ConditionResidual(float(delta1), float(delta2), bool(satisfied))
+    return _finish(config, state, dict(enumerate(marginals.tolist())), residuals)
+
+
 def sweep(configs) -> list[RunReport]:
-    """One report per config, in order; failures are recorded, never raised."""
+    """One report per config, in order; failures are recorded, never raised.
+
+    Configs are grouped by mode and computed in batches of ``_SWEEP_CHUNK``;
+    only the seeded draw runs per config. A batch that raises is redone
+    config by config through ``run_experiment``, so each failing config gets
+    its own error.
+    """
     configs = list(configs)
     if not configs:
         raise ValueError("sweep needs at least one config")
-    reports = []
-    for config in configs:
-        try:
-            reports.append(run_experiment(config))
-        except Exception as exc:
-            reports.append(RunReport(config=config, error=f"{type(exc).__name__}: {exc}"))
+    by_mode: dict = {}
+    for i, config in enumerate(configs):
+        # A non-config has no mode; its batch fails and it gets its own error.
+        by_mode.setdefault(getattr(config, "mode", None), []).append(i)
+    reports = [None] * len(configs)
+    for indices in by_mode.values():
+        for start in range(0, len(indices), _SWEEP_CHUNK):
+            chunk = indices[start:start + _SWEEP_CHUNK]
+            batch = [configs[i] for i in chunk]
+            try:
+                outputs = _evaluate_configs(batch)
+            except Exception:
+                done = [_guarded(run_experiment, config) for config in batch]
+            else:
+                done = [_guarded(_finish, config, *out) for config, out in zip(batch, outputs)]
+            for i, report in zip(chunk, done):
+                reports[i] = report
     return reports

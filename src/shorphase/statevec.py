@@ -84,28 +84,28 @@ def make_spectrum(values) -> np.ndarray:
 
 def _first(bad) -> int | None:
     """Row-major index of the first True entry of a boolean mask, or None if there is none."""
-    if bad.shape == ():
-        return 0 if bad else None
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else None
+    return int(np.flatnonzero(bad)[0]) if bad.any() else None
 
 
 def _phase_factors(energies: np.ndarray, dt) -> np.ndarray:
-    """exp(-i*E*dt): 16 entries for a scalar dt, (B, 16) for a (B,) array of delays.
+    """exp(-i*E*dt) for a 16-entry or (B, 16) spectrum and a scalar or (B,) dt, one per row.
 
     A product E*dt that overflows is refused here, naming the first bad row,
     instead of letting numpy warn and turn the state into NaN.
     """
     # Python floats never warn: if sum(|E|)*dt is finite, no single E*dt overflows.
-    if isinstance(dt, float) and math.isfinite(sum(map(abs, energies.tolist())) * dt):
+    if (isinstance(dt, float) and energies.ndim == 1
+            and math.isfinite(sum(map(abs, energies.tolist())) * dt)):
         return np.exp(-1j * energies * dt)
     with np.errstate(over="ignore", invalid="ignore"):
         phase = -1j * energies * np.asarray(dt)[..., None]
     i = _first(~np.isfinite(phase))
     if i is not None:
+        e = np.broadcast_to(energies, phase.shape).flat[i]
+        delay = np.broadcast_to(np.asarray(dt)[..., None], phase.shape).flat[i]
         raise ValueError(
             "state is not normalized: non-finite phase E*dt for "
-            f"E = {energies[i % DIM]}, dt = {np.ravel(dt)[i // DIM]}"
+            f"E = {e}, dt = {delay}"
         )
     return np.exp(phase)
 
@@ -113,8 +113,9 @@ def _phase_factors(energies: np.ndarray, dt) -> np.ndarray:
 def free_evolve(state: np.ndarray, spectrum: np.ndarray, dt) -> np.ndarray:
     """Evolve freely for time dt: each |m,n> amplitude gains exp(-i*E[m,n]*dt).
 
-    ``state`` has 16 entries or shape (B, 16); ``dt`` is a scalar or a (B,)
-    array of delays, one per row, and the result broadcasts to (B, 16).
+    ``state`` and ``spectrum`` have 16 entries or shape (B, 16); ``dt`` is a
+    scalar or a (B,) array of delays, one per row, and the result broadcasts
+    to (B, 16).
     Moduli are untouched, so the norm and every measurement marginal are
     preserved exactly. Negative or non-finite dt is rejected.
     """
@@ -130,7 +131,7 @@ def free_evolve(state: np.ndarray, spectrum: np.ndarray, dt) -> np.ndarray:
         raise ValueError(f"dt must be finite and non-negative, got {bad[0]}")
     amps = np.asarray(state, dtype=complex)
     energies = np.asarray(spectrum, dtype=float)
-    if amps.shape[-1:] != (DIM,) or energies.shape != (DIM,):
+    if amps.shape[-1:] != (DIM,) or energies.shape[-1:] != (DIM,) or energies.ndim > 2:
         raise ValueError("state and spectrum must both have 16 entries")
     return amps * _phase_factors(energies, dt)
 

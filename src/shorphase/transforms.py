@@ -113,7 +113,11 @@ def _after_spread(state: np.ndarray, spectrum: np.ndarray, tau1, tau2) -> np.nda
 
 
 def _final_states(spectrum: np.ndarray, mode: PipelineMode, tau1, tau2) -> np.ndarray:
-    """Final states for scalar delays (16 entries) or (B,) delay arrays (B, 16)."""
+    """Final states: 16 entries for scalar delays and one spectrum, else (B, 16).
+
+    ``spectrum`` is one 16-entry table or a (B, 16) array, one per row;
+    ``tau1`` and ``tau2`` are scalars or (B,) arrays.
+    """
     spread = superpose_x(statevec.init_ground())
     if mode is PipelineMode.NATURAL_PHASE:
         state = _after_spread(spread, np.zeros(DIM), tau1, tau2)

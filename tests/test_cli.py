@@ -377,6 +377,57 @@ def test_pulse_takes_negative_exponent_values(capsys):
     assert report["phase"] == statevec.wrap_phase(-5.0)
 
 
+#: Spectrum lists whose first entry is negative, in decimal and exponent form.
+NEGATIVE_LISTS = [
+    ("--omega", "-1,2.5e-1,3,-4E0"),
+    ("--energies", ",".join(["-1.5e-1"] + [repr(0.5 * i) for i in range(1, 16)])),
+]
+
+
+@pytest.mark.parametrize("flag, value", NEGATIVE_LISTS, ids=["omega", "energies"])
+@pytest.mark.parametrize("command", ["shor-demo", "sweep", "check-condition"])
+def test_spectrum_list_may_start_negative(capsys, tmp_path, command, flag, value):
+    # argparse took "-1,2,3,4" for a flag and failed with "expected one argument".
+    table = statevec.make_spectrum([float(part) for part in value.split(",")])
+    expected = shor.check_condition(table, DelaySchedule(1.0, 0.0))
+    argv = {
+        "shor-demo": ["shor-demo", "--tau1", "1"],
+        "sweep": ["sweep", "--tau1-start", "1", "--tau1-stop", "1", "--tau1-count", "1",
+                  "--tau2-start", "0", "--tau2-stop", "0", "--tau2-count", "1",
+                  "--out", str(tmp_path / "grid.json")],
+        "check-condition": ["check-condition", "--tau1", "1"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code in (0, cli.EXIT_NO_FACTOR), err
+    if command == "sweep":
+        report = json.loads((tmp_path / "grid.json").read_text())[0]
+    else:
+        report = json.loads(out)
+    residuals = report.get("residuals", report)
+    assert (residuals["delta1"], residuals["delta2"]) == (expected.delta1, expected.delta2)
+
+
+def test_malformed_negative_list_is_refused_at_once(capsys):
+    # 16 long entries and a typo: a pattern that let digits split between two
+    # runs backtracked through every split of every entry before failing.
+    value = "-" + ",".join(["12345678"] * 16) + "x"
+    code, _, err = run_cli(capsys, "shor-demo", "--energies", value)
+    assert code == 1
+    assert "expected one argument" in err
+
+
+def test_pulse_energies_may_start_negative(capsys):
+    code, out, _ = run_cli(capsys, "pulse", "--energies", "-1,3", "--rabi", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["e_k"], report["e_p"]) == (-1.0, 3.0)
+    code, out, _ = run_cli(capsys, "pulse", "--mode", "sudden", "--area", "1",
+                           "--energies", "-2.5e-1,-1E1")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["e_k"], report["e_p"]) == (-0.25, -10.0)
+
+
 # ---------------------------------------------------------------------------
 # check-condition
 
@@ -412,7 +463,7 @@ def test_check_condition_refuses_non_finite_residuals(capsys):
 def test_check_condition_refuses_non_finite_tolerance(capsys, tolerance):
     # With tau1 = 1 both residuals are 2.3; an infinite tolerance used to pass them.
     code, out, err = run_cli(capsys, "check-condition", "--tolerance", tolerance, "--tau1", "1")
-    assert (code, out, err) == (1, "", f"error: tolerance must be positive, got {tolerance}\n")
+    assert (code, out, err) == (1, "", f"error: tolerance must be finite, got {tolerance}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +602,7 @@ def test_sweep_across_chunks_matches_branch_oracle(capsys, tmp_path, mode, suffi
     (["--tau1-start", "1", "--tau1-stop", "-1", "--tau1-count", "3"],
      "config error: tau1 must be finite and non-negative, got -1.0\n"),
     (["--tau1-start", "0", "--tau1-stop", "1", "--tau1-count", "3", "--tolerance", "inf"],
-     "config error: tolerance must be positive, got inf\n"),
+     "config error: tolerance must be finite, got inf\n"),
 ])
 def test_sweep_error_text(capsys, tmp_path, flags, message):
     out_path = tmp_path / "grid.csv"
@@ -576,6 +627,20 @@ def test_sweep_first_failing_point_decides(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: state is not normalized: non-finite phase")
     assert err.endswith("dt = 10000000.0\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_and_demo_name_the_same_double_overflow(capsys, tmp_path):
+    # E*tau1 and the residual gap E[2,0] - E[0,0] both overflow. The sweep and
+    # a single run share one engine, so both name the phase, checked first.
+    message = "error: state is not normalized: non-finite phase E*dt for E = 1e+300, dt = 1e+300\n"
+    spectrum = ["--omega", "1,1e300,1,1"]
+    assert run_cli(capsys, "shor-demo", *spectrum, "--tau1", "1e300") == (1, "", message)
+    out_path = tmp_path / "grid.csv"
+    grid = ["--tau1-start", "0", "--tau1-stop", "1e300", "--tau1-count", "2",
+            "--tau2-start", "0", "--tau2-stop", "0", "--tau2-count", "1"]
+    assert run_cli(capsys, "sweep", *grid, *spectrum, "--out", str(out_path)) == (1, "", message)
+    assert not out_path.exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -95,7 +95,7 @@ def test_check_condition_rejects_bad_tolerance():
 @pytest.mark.parametrize("tol", [math.inf, math.nan], ids=["inf", "nan"])
 def test_check_condition_refuses_non_finite_tolerance(tol):
     # An infinite tolerance would call every residual satisfied.
-    with pytest.raises(ValueError, match=f"^tolerance must be positive, got {tol}$"):
+    with pytest.raises(ValueError, match=f"^tolerance must be finite, got {tol}$"):
         shor.check_condition(DEFAULT_SPECTRUM, DelaySchedule(1.0, 0.0), tol=tol)
 
 
@@ -258,15 +258,16 @@ def test_sweep_preserves_order_and_is_deterministic():
 
 
 def test_sweep_records_per_config_errors(monkeypatch):
-    real_run = shor.run_experiment
+    # The seeded draw is the step sweep still takes config by config.
+    real_finish = shor._finish
     poison = config_for(tau1=0.123456)
 
-    def flaky(config):
+    def flaky(config, *outputs):
         if config is poison:
             raise RuntimeError("synthetic failure")
-        return real_run(config)
+        return real_finish(config, *outputs)
 
-    monkeypatch.setattr(shor, "run_experiment", flaky)
+    monkeypatch.setattr(shor, "_finish", flaky)
     reports = shor.sweep([config_for(), poison, config_for(seed=3)])
     assert reports[0].factor == 2 and reports[0].error is None
     assert reports[1].error == "RuntimeError: synthetic failure"
@@ -282,6 +283,73 @@ def test_sweep_records_non_finite_state_as_error():
     assert reports[0].factor == 2 and reports[0].error is None
     assert reports[1].error is not None and "normalized" in reports[1].error
     assert reports[1].x_distribution is None and reports[1].measured_x is None
+
+
+def test_sweep_matches_run_experiment():
+    # More than one chunk of mixed configs: the batched sweep and run_experiment
+    # must both agree with the per-config stages on every report field, errors
+    # included.
+    rng = np.random.default_rng(71)
+    lattice = 2.0 * math.pi / 2.3  # default spectrum: both residuals are 2.3*(tau1 + tau2)
+    fixed = [
+        config_for(tau1=0.4 * lattice, tau2=0.6 * lattice, seed=5),
+        config_for(seed=2, retry_cap=1),  # retry cap exhausted
+        config_for(statevec.additive_spectrum((0.0, math.pi, 0.0, 0.0)), tau1=1.0),  # x = 3
+    ]
+    configs = []
+    for i in range(shor._SWEEP_CHUNK + 300):
+        spectrum = (None, tuple(rng.uniform(0.5, 6.0, 4)), rng.uniform(0.0, 12.0, 16))[i % 3]
+        configs.append(config_for(
+            spectrum, *rng.uniform(0.0, 10.0, 2), mode=list(PipelineMode)[i % 2],
+            seed=int(rng.integers(2**32)), retry_cap=(1, 4, 16)[i % 5 % 3],
+        ))
+    overflow = config_for(spectrum=np.full(16, 1e10), tau1=1e300)
+    # Phases and residuals both overflow: the phase is named, as the pipeline runs first.
+    both = config_for(spectrum=1e10 * np.arange(16.0), tau1=1e300)
+    wide = np.zeros(16)
+    wide[idx(2, 0)], wide[idx(0, 0)] = 1e308, -1e308  # only the residual E*tau overflows
+    configs[100:100] = fixed
+    configs[700:700] = [overflow, both, config_for(wide, tau1=1.0)]
+
+    def composed(config):
+        # The per-config stages, composed as a single run composed them before
+        # the batched core.
+        try:
+            state = transforms.run_pipeline(config)
+            distribution = statevec.measure_x_distribution(state)
+            residuals = shor.check_condition(config.spectrum, config.delays, config.tolerance)
+        except ValueError as exc:
+            return shor.RunReport(config=config, error=f"{type(exc).__name__}: {exc}")
+        return shor._finish(config, state, distribution, residuals)
+
+    def run_alone(config):
+        try:
+            return shor.run_experiment(config)
+        except ValueError as exc:
+            return shor.RunReport(config=config, error=f"{type(exc).__name__}: {exc}")
+
+    swept = shor.sweep(configs)
+    assert len(swept) == len(configs)
+    for config, batched in zip(configs, swept):
+        alone = composed(config)
+        for report in (batched, run_alone(config)):
+            assert report.config is config
+            for name in ("residuals", "measured_x", "period", "factor", "retries", "diagnostic",
+                         "error"):
+                assert getattr(report, name) == getattr(alone, name), name
+            if alone.error is None:
+                np.testing.assert_allclose(report.final_state, alone.final_state,
+                                           rtol=0, atol=1e-15)
+                assert report.x_distribution.keys() == alone.x_distribution.keys()
+                for x, p in alone.x_distribution.items():
+                    assert abs(report.x_distribution[x] - p) <= 1e-15
+            else:
+                assert report.final_state is None and report.x_distribution is None
+    assert swept[700].error.startswith("ValueError: state is not normalized")
+    assert swept[701].error.startswith("ValueError: state is not normalized")
+    assert swept[702].error.startswith("ValueError: interference residuals are not finite")
+    assert [r.diagnostic is not None for r in swept[100:103]] == [False, True, True]
+    assert swept[100].residuals.satisfied and swept[100].factor == 2
 
 
 def test_sweep_rejects_empty_grid():

@@ -127,6 +127,10 @@ def test_free_evolve_refuses_overflowing_phase():
     # In a batch the first overflowing row is named.
     with pytest.raises(ValueError, match=r"dt = 2e\+299$"):
         statevec.free_evolve(statevec.init_ground(), spectrum, np.array([1.0, 2e299, 1e300]))
+    # A scalar delay with a batch of spectra: the first overflowing row is named.
+    spectra = np.array([np.full(16, 1.0), np.full(16, 1e300)])
+    with pytest.raises(ValueError, match=r"E = 1e\+300, dt = 10000000000\.0$"):
+        statevec.free_evolve(statevec.init_ground(), spectra, 1e10)
     # Huge but finite products still evolve.
     out = statevec.free_evolve(statevec.init_ground(), spectrum, 1e290)
     assert np.all(np.isfinite(out))

@@ -1,0 +1,110 @@
+"""Run the experiment-batch settings through two trees' ``shor.sweep`` and compare every report.
+
+    python tools/batch_diff.py PARENT_TREE CHANGE_TREE --seeds 1 2 3 [--tol 1e-15]
+
+For each seed, every batch of ``bench/inputs.run_batch`` (the inputs of the
+``experiment-batch`` workload, from the ``bench`` next to this script, so both
+trees see the same settings) goes through ``config.build_config`` and
+``shor.sweep`` of each tree, each tree in its own child interpreter with its
+``src`` on the path. The script prints, per field, how many reports differ in
+``measured_x``, ``retries``, ``period``, ``factor``, ``diagnostic``, ``error``
+or the ``satisfied`` verdict, and the largest absolute gap of the final
+states, x distributions and residuals. It exits 1 on any flipped field or on a
+gap above ``--tol``.
+"""
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+FIELDS = ("measured_x", "retries", "period", "factor", "diagnostic", "error", "satisfied")
+
+#: Child interpreter: argv is TREE BENCH SEED OUT; writes OUT.npz and OUT.json.
+CHILD = """
+import json, sys
+import numpy as np
+tree, bench, seed, out = sys.argv[1:]
+sys.path[:0] = [tree + "/src", bench]
+import inputs
+from shorphase import config, shor
+reports = []
+for index in range(inputs.PASS_BATCHES):
+    reports += shor.sweep([config.build_config(s) for s in inputs.run_batch(int(seed), index)])
+nan = np.full(16, np.nan)
+ok = [r.error is None for r in reports]
+np.savez(out + ".npz",
+         states=np.array([r.final_state if k else nan for r, k in zip(reports, ok)]),
+         dists=np.array([[r.x_distribution[x] for x in range(4)] if k else nan[:4]
+                         for r, k in zip(reports, ok)]),
+         residuals=np.array([[r.residuals.delta1, r.residuals.delta2] if k else nan[:2]
+                             for r, k in zip(reports, ok)]))
+fields = [[r.measured_x, r.retries, r.period, r.factor, r.diagnostic, r.error,
+           r.residuals.satisfied if k else None] for r, k in zip(reports, ok)]
+with open(out + ".json", "w") as f:
+    json.dump(fields, f)
+"""
+
+
+def run_tree(tree: str, seed: int, out: Path) -> tuple[dict, list]:
+    """Arrays and per-report fields of one tree's sweep over one seed's batches."""
+    subprocess.run([sys.executable, "-c", CHILD, str(Path(tree).resolve()), str(BENCH),
+                    str(seed), str(out)], check=True)
+    with np.load(f"{out}.npz") as arrays:
+        data = {name: arrays[name] for name in arrays.files}
+    with open(f"{out}.json") as f:
+        return data, json.load(f)
+
+
+def largest_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |a - b| over the rows where both sides have a value."""
+    both = ~(np.isnan(a).any(axis=1) | np.isnan(b).any(axis=1))
+    return float(np.abs(a[both] - b[both]).max(initial=0.0))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--tol", type=float, default=1e-15, help="largest allowed float gap")
+    args = parser.parse_args(argv)
+
+    flips = dict.fromkeys(FIELDS, 0)
+    gaps = dict.fromkeys(("states", "dists", "residuals"), 0.0)
+    settings = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            (arrays_a, fields_a), (arrays_b, fields_b) = (
+                run_tree(tree, seed, Path(tmp) / f"{side}-{seed}")
+                for side, tree in (("parent", args.parent), ("change", args.change)))
+            if len(fields_a) != len(fields_b):
+                print(f"seed {seed}: {len(fields_a)} reports vs {len(fields_b)}")
+                return 1
+            settings += len(fields_a)
+            for row_a, row_b in zip(fields_a, fields_b):
+                for name, va, vb in zip(FIELDS, row_a, row_b):
+                    flips[name] += va != vb
+            for name in gaps:
+                gaps[name] = max(gaps[name], largest_gap(arrays_a[name], arrays_b[name]))
+            print(f"seed {seed}: {len(fields_a)} settings, "
+                  f"{sum(flips.values())} flips so far", flush=True)
+
+    for name in FIELDS:
+        print(f"flipped {name}: {flips[name]}")
+    for name, gap in gaps.items():
+        print(f"largest {name} gap: {gap:.3e}")
+    worst = max(gaps.values())
+    failed = sum(flips.values()) > 0 or not worst <= args.tol
+    print(f"{'differ' if failed else 'match'}: {settings} settings, {sum(flips.values())} flips, "
+          f"largest gap {worst:.3e} (tol {args.tol:g})")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
