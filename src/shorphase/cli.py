@@ -139,16 +139,13 @@ def _csv_field(report: dict, column: str):
     return report[outer][inner]
 
 
-def _render(fmt: str, columns, report) -> str:
-    """``report`` as indented JSON, or as CSV: a list holds flat rows, a dict is one report."""
+def _render(fmt: str, columns, report: dict) -> str:
+    """One report as indented JSON, or as a CSV header and row."""
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
-    records = report if isinstance(report, list) else [{c: _csv_field(report, c) for c in columns}]
+    row = [_csv_cell(_csv_field(report, column)) for column in columns]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for record in records:
-        writer.writerow([_csv_cell(record[column]) for column in columns])
+    csv.writer(buf, lineterminator="\n").writerows([columns, row])
     return buf.getvalue()
 
 
@@ -315,8 +312,8 @@ def cmd_check_condition(args) -> int:
 # sweep
 
 
-def _sweep_chunk(config: ExperimentConfig, tau1: np.ndarray, tau2: np.ndarray) -> list[dict]:
-    """Rows for the grid points (tau1[k], tau2[k]), computed as one batch."""
+def _sweep_chunk(config: ExperimentConfig, tau1: np.ndarray, tau2: np.ndarray) -> tuple:
+    """Result columns (delta1 to amp11_mod) of the grid points (tau1[k], tau2[k]), as one batch."""
     k = statevec._first(~(np.isfinite(tau1) & (tau1 >= 0.0) & np.isfinite(tau2) & (tau2 >= 0.0)))
     if k is not None:
         DelaySchedule(float(tau1[k]), float(tau2[k]))  # raises with the schedule's message
@@ -325,35 +322,34 @@ def _sweep_chunk(config: ExperimentConfig, tau1: np.ndarray, tau2: np.ndarray) -
     )
     amp11 = states[:, statevec.basis_index(1, 1)]
     # hypot rounds as Python's abs(complex) does; np.abs can differ in the last bit.
-    amp11_mod = np.hypot(amp11.real, amp11.imag)
-    columns = (tau1, tau2, delta1, delta2, satisfied, *marginals.T, amp11_mod)
-    return [dict(zip(SWEEP_CSV_COLUMNS, row)) for row in zip(*(c.tolist() for c in columns))]
+    return (delta1, delta2, satisfied, *marginals.T, np.hypot(amp11.real, amp11.imag))
 
 
-def _sweep_rows(args, spectrum: np.ndarray) -> list[dict]:
+def _sweep_rows(args, spectrum: np.ndarray):
+    """The grid's rows as cell text, row-major with tau1 outer."""
     taus1 = np.linspace(args.tau1_start, args.tau1_stop, args.tau1_count)
     taus2 = np.linspace(args.tau2_start, args.tau2_stop, args.tau2_count)
     # The first point's delays are checked before the shared settings, the
     # order in which a point-by-point walk of the grid meets them.
     DelaySchedule(float(taus1[0]), float(taus2[0]))
-    config = ExperimentConfig(
-        mode=args.mode or PipelineMode.FREE_EVOLUTION, spectrum=tuple(spectrum),
-        tolerance=args.tolerance,
-    )
-    rows = []
+    config = ExperimentConfig(mode=args.mode or PipelineMode.FREE_EVOLUTION,
+                              spectrum=tuple(spectrum), tolerance=args.tolerance)
+    chunks = []
     points = taus1.size * taus2.size
-    for start in range(0, points, _SWEEP_CHUNK):  # row-major, tau1 outer
-        k = np.arange(start, min(start + _SWEEP_CHUNK, points))
+    for k in np.split(np.arange(points), range(_SWEEP_CHUNK, points, _SWEEP_CHUNK)):
         tau1, tau2 = taus1[k // taus2.size], taus2[k % taus2.size]
         try:
-            rows += _sweep_chunk(config, tau1, tau2)
+            chunks.append(_sweep_chunk(config, tau1, tau2))
         except ValueError:
             # Each check names its own first bad row; redo the chunk point by
             # point so that the first failing point decides the message.
             for i in range(k.size):
                 _sweep_chunk(config, tau1[i:i + 1], tau2[i:i + 1])
             raise
-    return rows
+    # Each column, and each distinct tau, is formatted once by the JSON encoder, as _csv_cell would.
+    tau1, tau2, *results = (json.dumps(c.tolist())[1:-1].split(", ")
+                            for c in (taus1, taus2, *map(np.concatenate, zip(*chunks))))
+    return zip([cell for cell in tau1 for _ in tau2], tau2 * len(tau1), *results)
 
 
 def cmd_sweep(args) -> int:
@@ -362,8 +358,12 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"--{name.replace('_', '-')} must be at least 1")
     rows = _sweep_rows(args, _spectrum_table(args))
     fmt = _format(args, {".json": "json", ".csv": "csv"}.get(Path(args.out).suffix.lower()))
-    Path(args.out).write_text(_render(fmt, SWEEP_CSV_COLUMNS, rows))
-    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    # The text of csv.writer (no sweep cell needs quoting) or of json.dumps(rows, indent=2).
+    row = "  {\n" + ",\n".join(f"    {json.dumps(c)}: %s" for c in SWEEP_CSV_COLUMNS) + "\n  }"
+    lines = ([",".join(SWEEP_CSV_COLUMNS), *map(",".join, rows)] if fmt == "csv"
+             else ["[", ",\n".join(map(row.__mod__, rows)), "]"])
+    Path(args.out).write_text("\n".join(lines) + "\n")
+    print(f"wrote {args.tau1_count * args.tau2_count} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -35,6 +35,12 @@ IDEAL_X_DISTRIBUTION = {0: 0.5, 1: 0.0, 2: 0.5, 3: 0.0}
 #: sweep; bounds the array memory of one batch.
 _SWEEP_CHUNK = 2048
 
+#: float64 cannot resolve a residual a*tau1 + b*tau2 more finely than a few
+#: eps*(|a*tau1| + |b*tau2|): rounding the gaps, the products, their sum and the
+#: wrap by 2*pi give up to about 3 of them. A residual within this many counts
+#: as zero; on the satisfying delays of the default spectrum it reaches 3.4.
+_RESOLUTION = 8 * np.finfo(float).eps
+
 
 class PeriodExtractionError(ValueError):
     """Measured x does not divide the register size; the run is corrupted."""
@@ -46,7 +52,8 @@ class ConditionResidual:
 
     delta1 pairs the x=2 branch against the x=0 branch (both land on y=1);
     delta2 pairs x=3 against x=1 (both land on y=3). The clean pattern
-    survives iff both vanish mod 2*pi.
+    survives iff both vanish mod 2*pi; ``satisfied`` says both are within the
+    tolerance, or within what float64 resolves at these delays.
     """
 
     delta1: float
@@ -61,7 +68,9 @@ def _residuals(spectrum, tau1, tau2, tol):
     ``tol`` a scalar or a (B,) array. The tolerance must be positive and
     finite, as in ``ExperimentConfig``. A residual that is not finite (E*tau
     overflowed) is refused, naming the first bad row, instead of being
-    wrapped into NaN.
+    wrapped into NaN. A residual a*tau1 + b*tau2 is satisfied iff its wrapped
+    value is within max(tol, _RESOLUTION*(|a*tau1| + |b*tau2|)) of zero, so
+    rounding noise at large delays does not read as broken interference.
     """
     i = statevec._first(~(np.isfinite(tol) & (tol > 0.0)))
     if i is not None:
@@ -75,9 +84,12 @@ def _residuals(spectrum, tau1, tau2, tol):
     def gap(m: int, n: int, k: int, y: int):
         return e[basis_index(m, n)] - e[basis_index(k, y)]
 
+    a1, b1, a2, b2 = gap(2, 0, 0, 0), gap(2, 1, 0, 1), gap(3, 0, 1, 0), gap(3, 3, 1, 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        raw1 = gap(2, 0, 0, 0) * tau1 + gap(2, 1, 0, 1) * tau2
-        raw2 = gap(3, 0, 1, 0) * tau1 + gap(3, 3, 1, 3) * tau2
+        raw1, raw2 = a1 * tau1 + b1 * tau2, a2 * tau1 + b2 * tau2
+        # |a*tau1| + |b*tau2| may overflow where raw does not; then nothing is resolved.
+        bound1 = np.maximum(tol, _RESOLUTION * (abs(a1 * tau1) + abs(b1 * tau2)))
+        bound2 = np.maximum(tol, _RESOLUTION * (abs(a2 * tau1) + abs(b2 * tau2)))
     i = statevec._first(~(np.isfinite(raw1) & np.isfinite(raw2)))
     if i is not None:
         raise ValueError(
@@ -85,7 +97,7 @@ def _residuals(spectrum, tau1, tau2, tol):
             f"tau1 = {np.ravel(tau1)[i]}, tau2 = {np.ravel(tau2)[i]}"
         )
     delta1, delta2 = wrap_phase(raw1), wrap_phase(raw2)
-    return delta1, delta2, (abs(delta1) <= tol) & (abs(delta2) <= tol)
+    return delta1, delta2, (abs(delta1) <= bound1) & (abs(delta2) <= bound2)
 
 
 def _evaluate(spectrum, mode: PipelineMode, tau1, tau2, tol):

@@ -459,6 +459,18 @@ def test_check_condition_refuses_non_finite_residuals(capsys):
     assert "NaN" not in err and "nan" not in err
 
 
+def test_check_condition_satisfied_within_float_resolution(capsys):
+    # pi*1e7/2.3 on both delays puts both residuals of the default spectrum on
+    # whole turns. float64 leaves them at about 1e-8, above the 1e-9 tolerance
+    # but within what it can resolve at these delays, so the verdict holds.
+    tau = "13659098.493868668"
+    code, out, _ = run_cli(capsys, "check-condition", "--tau1", tau, "--tau2", tau)
+    assert code == 0
+    report = json.loads(out)
+    assert min(abs(report["delta1"]), abs(report["delta2"])) > 1e-9
+    assert report["satisfied"] is True
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "nan"])
 def test_check_condition_refuses_non_finite_tolerance(capsys, tolerance):
     # With tau1 = 1 both residuals are 2.3; an infinite tolerance used to pass them.
@@ -596,6 +608,42 @@ def test_sweep_across_chunks_matches_branch_oracle(capsys, tmp_path, mode, suffi
         for delta, (a, b) in ((row["delta1"], (2, 0)), (row["delta2"], (3, 1))):
             assert abs(statevec.wrap_phase(delta - (branch[a] - branch[b]))) <= 1e-9
         assert row["satisfied"] == (abs(row["delta1"]) <= 1e-9 and abs(row["delta2"]) <= 1e-9)
+
+
+@pytest.mark.parametrize("n1, n2", [(3, cli._SWEEP_CHUNK * 2 // 3 + 7), (1, 1)])
+def test_sweep_files_are_what_the_stdlib_encoders_write(capsys, tmp_path, n1, n2):
+    # The sweep writer fills one row template per format. Its files must be
+    # exactly json.dumps(rows, indent=2) and csv.writer over the same rows,
+    # with the cell rule of the single-report CSV path, across two full chunks
+    # and a partial one, and for a single point.
+    grid = ["--tau1-start", "0", "--tau1-stop", "7.5", "--tau1-count", str(n1),
+            "--tau2-start", "0", "--tau2-stop", "9", "--tau2-count", str(n2),
+            "--energies", ",".join(map(repr, SWEEP_ENERGIES))]
+    paths = {fmt: tmp_path / f"grid.{fmt}" for fmt in ("json", "csv")}
+    for path in paths.values():
+        assert run_cli(capsys, "sweep", *grid, "--out", str(path))[0] == 0
+    text = paths["json"].read_text()
+    rows = json.loads(text)
+    assert len(rows) == n1 * n2
+    assert all(list(row) == list(cli.SWEEP_CSV_COLUMNS) for row in rows)
+    assert first_differing_line(text, json.dumps(rows, indent=2) + "\n") is None
+    columns, buf = cli.SWEEP_CSV_COLUMNS, io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [columns, *([cli._csv_cell(row[c]) for c in columns] for row in rows)]
+    )
+    assert first_differing_line(paths["csv"].read_text(), buf.getvalue()) is None
+
+
+def first_differing_line(text: str, expected: str):
+    """(line number, line, expected line) of the first difference, or None if equal.
+
+    pytest's own diff of two texts of this size takes minutes.
+    """
+    if text == expected:
+        return None
+    lines, want = text.split("\n"), expected.split("\n")
+    i = next((i for i, pair in enumerate(zip(lines, want)) if pair[0] != pair[1]), len(want))
+    return i + 1, lines[i] if i < len(lines) else None, want[i] if i < len(want) else None
 
 
 @pytest.mark.parametrize("flags, message", [

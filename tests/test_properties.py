@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from shorphase import shor
+from conftest import idx
+from shorphase import shor, statevec
 from shorphase.config import DelaySchedule, ExperimentConfig, PipelineMode
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -26,3 +28,54 @@ def test_free_evolution_split_weight_matches_residuals(energies, tau1, tau2):
     p, r = report.x_distribution, report.residuals
     expected = (math.sin(r.delta1 / 2) ** 2 + math.sin(r.delta2 / 2) ** 2) / 2
     assert abs(p[1] + p[3] - expected) <= 1e-12
+
+
+#: Delays log-uniform over 1e-9 .. 1e9, and energies mostly of order 1 with
+#: some anywhere in float64's finite range.
+LOG_DELAYS = st.floats(-9.0, 9.0).map(lambda power: 10.0 ** power)
+WIDE_ENERGIES = st.lists(
+    st.one_of(st.floats(-20.0, 20.0), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=16, max_size=16,
+)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@hypothesis.given(WIDE_ENERGIES, LOG_DELAYS, LOG_DELAYS)
+def test_verdict_is_the_precision_aware_rule(energies, tau1, tau2):
+    # A residual is satisfied iff it is within its resolution bound, and every
+    # output is finite; a refusal is a ValueError where E*tau or a gap overflows.
+    try:
+        residual = shor.check_condition(energies, DelaySchedule(tau1, tau2))
+        report = shor.run_experiment(ExperimentConfig(
+            mode=PipelineMode.FREE_EVOLUTION, delays=DelaySchedule(tau1, tau2),
+            spectrum=tuple(energies)))
+    except ValueError:
+        assert max(map(abs, energies)) * max(tau1, tau2, 1.0) > 1e300
+        return
+
+    def gap(m, n, k, y):
+        return energies[idx(m, n)] - energies[idx(k, y)]
+
+    def within(delta, a, b):
+        return abs(delta) <= max(1e-9, shor._RESOLUTION * (abs(a * tau1) + abs(b * tau2)))
+
+    assert residual.satisfied == (within(residual.delta1, gap(2, 0, 0, 0), gap(2, 1, 0, 1))
+                                  and within(residual.delta2, gap(3, 0, 1, 0), gap(3, 3, 1, 3)))
+    assert report.residuals == residual
+    assert math.isfinite(residual.delta1) and math.isfinite(residual.delta2)
+    assert np.isfinite(report.final_state).all()
+    assert all(math.isfinite(p) for p in report.x_distribution.values())
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@hypothesis.given(st.floats(0.0, 8.0), st.floats(0.0, 1.0))
+def test_satisfying_delays_stay_satisfied_at_any_size(power, split):
+    # For the default (additive) spectrum both residuals are w1*(tau1 + tau2),
+    # so tau1 + tau2 = 2*pi*turns/w1 satisfies the condition. Past about 1e6
+    # turns the rounding of that sum alone exceeds the 1e-9 tolerance; the
+    # verdict must still read satisfied.
+    spectrum = statevec.make_spectrum(statevec.DEFAULT_OMEGAS)
+    turns = math.floor(10.0 ** power)
+    total = 2 * math.pi * turns / (spectrum[idx(2, 0)] - spectrum[idx(0, 0)])
+    residual = shor.check_condition(spectrum, DelaySchedule(split * total, (1 - split) * total))
+    assert residual.satisfied, residual

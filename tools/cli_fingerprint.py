@@ -44,6 +44,9 @@ FILES = {
 
 SW = ["--tau1-start", "0", "--tau1-stop", TWO_PI, "--tau1-count", "3",
       "--tau2-start", "0", "--tau2-stop", TWO_PI, "--tau2-count", "4"]
+#: 4200 points: two full sweep chunks of 2048 points and a partial third.
+SW_CHUNKS = ["--tau1-start", "0", "--tau1-stop", "7.5", "--tau1-count", "3",
+             "--tau2-start", "0", "--tau2-stop", "9", "--tau2-count", "1400"]
 
 #: (name, argv). Names starting with "err-" or "help" are run with the env var unset only.
 BASE = [
@@ -102,6 +105,8 @@ BASE = [
     ("sweep-energies", ["sweep", *SW, "--energies", E16, "--tolerance", "1e-3", "--out", "en.csv"]),
     ("sweep-single", ["sweep", "--tau1-start", "0", "--tau1-stop", "0", "--tau1-count", "1",
                       "--tau2-start", "0", "--tau2-stop", "0", "--tau2-count", "1", "--out", "one.csv"]),
+    ("sweep-chunks-csv", ["sweep", *SW_CHUNKS, "--energies", E16, "--out", "chunks.csv"]),
+    ("sweep-chunks-json", ["sweep", *SW_CHUNKS, "--mode", "natural-phase", "--out", "chunks.json"]),
     # usage errors
     ("err-none", []),
     ("err-unknown-cmd", ["frobnicate"]),
