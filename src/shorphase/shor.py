@@ -77,15 +77,15 @@ def _residuals(spectrum, tau1, tau2, tol):
         bad = np.ravel(tol)[i]
         rule = "positive" if np.isfinite(bad) else "finite"
         raise ValueError(f"tolerance must be {rule}, got {bad}")
-    # Entry k of e is E_k: a float, or the (B,) column of a (B, 16) batch.
+    # e[..., k] is E_k: a scalar for one table, the (B,) column of a (B, 16) batch.
     e = np.asarray(spectrum, dtype=float)
-    e = e.tolist() if e.ndim == 1 else e.T
 
     def gap(m: int, n: int, k: int, y: int):
-        return e[basis_index(m, n)] - e[basis_index(k, y)]
+        return e[..., basis_index(m, n)] - e[..., basis_index(k, y)]
 
-    a1, b1, a2, b2 = gap(2, 0, 0, 0), gap(2, 1, 0, 1), gap(3, 0, 1, 0), gap(3, 3, 1, 3)
     with np.errstate(over="ignore", invalid="ignore"):
+        # A gap may overflow too; its residual is then refused below.
+        a1, b1, a2, b2 = gap(2, 0, 0, 0), gap(2, 1, 0, 1), gap(3, 0, 1, 0), gap(3, 3, 1, 3)
         raw1, raw2 = a1 * tau1 + b1 * tau2, a2 * tau1 + b2 * tau2
         # |a*tau1| + |b*tau2| may overflow where raw does not; then nothing is resolved.
         bound1 = np.maximum(tol, _RESOLUTION * (abs(a1 * tau1) + abs(b1 * tau2)))
@@ -108,13 +108,9 @@ def _evaluate(spectrum, mode: PipelineMode, tau1, tau2, tol):
     Each check names its first bad row. A run fails as the pipeline would: a
     bad phase, the y=0 leak or the norm is reported before a bad residual.
     """
-    try:
-        residuals = _residuals(spectrum, tau1, tau2, tol)
-    except ValueError:
-        statevec._x_marginals(transforms._final_states(spectrum, mode, tau1, tau2))
-        raise
     states = transforms._final_states(spectrum, mode, tau1, tau2)
-    return states, statevec._x_marginals(states), *residuals
+    marginals = statevec._x_marginals(states)
+    return states, marginals, *_residuals(spectrum, tau1, tau2, tol)
 
 
 def check_condition(spectrum, delays: DelaySchedule, tol: float = 1e-9) -> ConditionResidual:
@@ -237,15 +233,10 @@ def _guarded(step, config, *args) -> RunReport:
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run the pipeline, measure, and post-process; deterministic given the seed.
 
-    The one-config case of ``sweep``: the same core on scalar delays, then
+    The one-config batch of ``sweep``: the same batched core, then
     ``_finish``. Errors are raised.
     """
-    state, marginals, delta1, delta2, satisfied = _evaluate(
-        np.asarray(config.spectrum), config.mode, config.delays.tau1, config.delays.tau2,
-        config.tolerance,
-    )
-    residuals = ConditionResidual(float(delta1), float(delta2), bool(satisfied))
-    return _finish(config, state, dict(enumerate(marginals.tolist())), residuals)
+    return _finish(config, *_evaluate_configs([config])[0])
 
 
 def sweep(configs) -> list[RunReport]:

@@ -13,8 +13,6 @@ inputs are never mutated, results are fresh arrays.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 DIM = 16
@@ -93,10 +91,6 @@ def _phase_factors(energies: np.ndarray, dt) -> np.ndarray:
     A product E*dt that overflows is refused here, naming the first bad row,
     instead of letting numpy warn and turn the state into NaN.
     """
-    # Python floats never warn: if sum(|E|)*dt is finite, no single E*dt overflows.
-    if (isinstance(dt, float) and energies.ndim == 1
-            and math.isfinite(sum(map(abs, energies.tolist())) * dt)):
-        return np.exp(-1j * energies * dt)
     with np.errstate(over="ignore", invalid="ignore"):
         phase = -1j * energies * np.asarray(dt)[..., None]
     i = _first(~np.isfinite(phase))
@@ -119,21 +113,19 @@ def free_evolve(state: np.ndarray, spectrum: np.ndarray, dt) -> np.ndarray:
     Moduli are untouched, so the norm and every measurement marginal are
     preserved exactly. Negative or non-finite dt is rejected.
     """
-    if isinstance(dt, (int, float)):
-        dt = float(dt)
-        bad = [] if dt >= 0.0 and math.isfinite(dt) else [dt]
-    else:
-        dt = np.asarray(dt, dtype=float)
-        if dt.ndim > 1:
-            raise ValueError(f"dt must be a scalar or a (B,) array, got shape {dt.shape}")
-        bad = dt[~((dt >= 0.0) & np.isfinite(dt))]
-    if len(bad):
-        raise ValueError(f"dt must be finite and non-negative, got {bad[0]}")
+    dt = np.asarray(dt, dtype=float)
+    if dt.ndim > 1:
+        raise ValueError(f"dt must be a scalar or a (B,) array, got shape {dt.shape}")
+    i = _first(~((dt >= 0.0) & np.isfinite(dt)))
+    if i is not None:
+        raise ValueError(f"dt must be finite and non-negative, got {np.ravel(dt)[i]}")
     amps = np.asarray(state, dtype=complex)
     energies = np.asarray(spectrum, dtype=float)
     if amps.shape[-1:] != (DIM,) or energies.shape[-1:] != (DIM,) or energies.ndim > 2:
         raise ValueError("state and spectrum must both have 16 entries")
-    return amps * _phase_factors(energies, dt)
+    # np.multiply, not *: numpy computes `a * temp` in place as `temp * a` once temp
+    # passes 256 KiB, and that order can round a complex product differently.
+    return np.multiply(amps, _phase_factors(energies, dt))
 
 
 def _x_marginals(states: np.ndarray) -> np.ndarray:
@@ -196,7 +188,8 @@ def wrap_phase(angle):
     """Wrap an angle (scalar or array) into the interval (-pi, pi]."""
     if not isinstance(angle, (float, np.ndarray)):
         angle = np.asarray(angle, dtype=float)
-    # On floats and float arrays alike, % is numpy's mod: the result takes the divisor's sign.
+    # % is Python's mod on a Python float and numpy's on numpy values; both take fmod,
+    # then shift a remainder whose sign differs from the divisor's, so they agree.
     wrapped = np.pi - (np.pi - angle) % (2.0 * np.pi)
     return wrapped if isinstance(wrapped, np.ndarray) else float(wrapped)
 

@@ -123,7 +123,7 @@ def _final_states(spectrum: np.ndarray, mode: PipelineMode, tau1, tau2) -> np.nd
         state = _after_spread(spread, np.zeros(DIM), tau1, tau2)
         with np.errstate(over="ignore"):  # an infinite total is refused with its phase
             total = tau1 + tau2
-        return state * statevec._phase_factors(spectrum, total)
+        return np.multiply(state, statevec._phase_factors(spectrum, total))  # as in free_evolve
     return _after_spread(spread, spectrum, tau1, tau2)
 
 

@@ -1,12 +1,15 @@
 """Property checks over random spectra and delays; derandomized, so every run draws the same."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import idx
-from shorphase import shor, statevec
+from shorphase import cli, shor, statevec
 from shorphase.config import DelaySchedule, ExperimentConfig, PipelineMode
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -65,6 +68,32 @@ def test_verdict_is_the_precision_aware_rule(energies, tau1, tau2):
     assert math.isfinite(residual.delta1) and math.isfinite(residual.delta2)
     assert np.isfinite(report.final_state).all()
     assert all(math.isfinite(p) for p in report.x_distribution.values())
+
+
+def floats_in(value):
+    """Every float of a parsed JSON document."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from floats_in(item)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@hypothesis.given(st.sampled_from(["check-condition", "shor-demo"]), WIDE_ENERGIES, LOG_DELAYS,
+                  LOG_DELAYS)
+def test_cli_prints_finite_numbers_or_exits_1(command, energies, tau1, tau2):
+    # The CLI at the same delays and spectra: a report whose every number is
+    # finite (exit 0, or 2 for a run with no factor), or one line of refusal.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--energies=" + ",".join(map(repr, energies)),
+                         "--tau1", repr(tau1), "--tau2", repr(tau2), "--format", "json"])
+    if code == cli.EXIT_USAGE:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+        return
+    assert code in (cli.EXIT_OK, cli.EXIT_NO_FACTOR), code
+    assert all(math.isfinite(x) for x in floats_in(json.loads(out.getvalue())))
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)

@@ -1,6 +1,7 @@
 """Interference condition, period extraction, factoring, and experiment runs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,16 @@ def test_run_experiment_refuses_non_finite_residuals():
         shor.run_experiment(config)
     report = shor.sweep([config])[0]
     assert "not finite" in report.error and report.residuals is None
+
+
+def test_sweep_overflowing_gap_warns_nothing():
+    # Recorded, not raised: a raised warning would send the batch to its
+    # config-by-config redo and hide that the batch printed one.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = shor.sweep([config_for(residual_overflow_spectrum(), tau1=0.5)])[0]
+    assert [str(w.message) for w in caught] == []
+    assert "not finite" in report.error
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +342,15 @@ def test_sweep_matches_run_experiment():
     swept = shor.sweep(configs)
     assert len(swept) == len(configs)
     for config, batched in zip(configs, swept):
-        alone = composed(config)
-        for report in (batched, run_alone(config)):
+        alone, single = composed(config), run_alone(config)
+        # run_experiment is a batch of one through the same code: bit for bit,
+        # though each mode's chunk here passes the 1,024 rows past which numpy
+        # reuses a temporary operand in place.
+        assert single.error == batched.error
+        if batched.error is None:
+            np.testing.assert_array_equal(single.final_state, batched.final_state)
+            assert single.x_distribution == batched.x_distribution
+        for report in (batched, single):
             assert report.config is config
             for name in ("residuals", "measured_x", "period", "factor", "retries", "diagnostic",
                          "error"):

@@ -72,12 +72,9 @@ def test_free_evolve_phases_on_x_spread():
 def test_free_evolve_rejects_bad_dt():
     state = statevec.init_ground()
     spectrum = np.zeros(16)
-    with pytest.raises(ValueError):
-        statevec.free_evolve(state, spectrum, -0.1)
-    with pytest.raises(ValueError):
-        statevec.free_evolve(state, spectrum, math.nan)
-    with pytest.raises(ValueError):
-        statevec.free_evolve(state, spectrum, math.inf)
+    for dt, text in ((-0.1, "-0.1"), (math.nan, "nan"), (math.inf, "inf"), (-1, "-1.0")):
+        with pytest.raises(ValueError, match=f"^dt must be finite and non-negative, got {text}$"):
+            statevec.free_evolve(state, spectrum, dt)
 
 
 def test_free_evolve_rejects_bad_shapes():
