@@ -132,9 +132,10 @@ def natural_init(modulus: float, e_k: float, t0: float) -> TwoLevelState:
     return TwoLevelState(modulus * cmath.exp(-1j * e_k * t0), 0.0)
 
 
-def _closed_form(sys: TwoLevelSystem, pulse: PulseSpec, phi_eff: float,
-                 init: TwoLevelState) -> TwoLevelState:
-    # Exact solution for C_p(t0) = 0 under drive argument w_pk*t + phi_eff.
+def _closed_form(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState) -> TwoLevelState:
+    # Exact solution for C_p(t0) = 0 under drive argument w_pk*t + phi_eff,
+    # phi_eff being the mode's drive argument at absolute time 0.
+    phi_eff = sys.omega_pk * (0.0 - _drive_origin(pulse)) + pulse.phase
     alpha = pulse.pulse_area
     newborn = 0.5 * math.pi - phi_eff + sys.e_k * pulse.t0 - sys.e_p * (pulse.t0 + pulse.tau)
     if not (math.isfinite(sys.e_k * pulse.tau) and math.isfinite(newborn)):
@@ -151,8 +152,7 @@ def _resonant(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState,
         raise ValueError(f"expected a {mode.value} pulse, got {pulse.mode.value}")
     if init.c_p != 0:
         return integrate_ode(sys, pulse, init)
-    # The drive argument at absolute time 0 is the closed form's phi_eff in every mode.
-    return _closed_form(sys, pulse, _drive_phase_at(sys, pulse, 0.0), init)
+    return _closed_form(sys, pulse, init)
 
 
 def evolve_coherent(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState) -> TwoLevelState:
@@ -202,11 +202,11 @@ def evolve_sudden(init: TwoLevelState, area: float) -> TwoLevelState:
                          init.c_p * c + 1j * init.c_k * s)
 
 
-def _drive_phase_at(sys: TwoLevelSystem, pulse: PulseSpec, t: float) -> float:
-    if pulse.mode is PulseMode.NONCOHERENT:
-        return sys.omega_pk * (t - pulse.t0) + pulse.phase
-    # Coherent and phase-corrected drives coincide in absolute time.
-    return sys.omega_pk * t + pulse.phase
+def _drive_origin(pulse: PulseSpec) -> float:
+    # The drive argument at time t is w_pk*(t - origin) + phase. A noncoherent
+    # pulse is referenced to its own start; the other modes to absolute time,
+    # where t - 0.0 == t for every float, -0.0 included.
+    return pulse.t0 if pulse.mode is PulseMode.NONCOHERENT else 0.0
 
 
 #: Most RK4 steps ``integrate_ode`` takes; about a minute of stepping.
@@ -253,15 +253,16 @@ def integrate_ode(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState,
     # anyway are shared: the constant factors, the drive at t+dt/2 (stages 2
     # and 3), and the drive at t+dt, which is the next step's drive at t.
     neg_i_ek, neg_i_ep, i_half_rabi = -1j * sys.e_k, -1j * sys.e_p, 1j * (0.5 * pulse.rabi)
+    w, origin, phase, exp = sys.omega_pk, _drive_origin(pulse), pulse.phase, cmath.exp
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     a, b = init.c_k, init.c_p
     t = pulse.t0
-    drive = cmath.exp(1j * _drive_phase_at(sys, pulse, t))
+    drive = exp(1j * (w * (t - origin) + phase))
     up, down = i_half_rabi * drive, i_half_rabi * drive.conjugate()
     for _ in range(n_steps):
         k1a = neg_i_ek * a + up * b
         k1b = neg_i_ep * b + down * a
-        drive = cmath.exp(1j * _drive_phase_at(sys, pulse, t + half_dt))
+        drive = exp(1j * (w * (t + half_dt - origin) + phase))
         up, down = i_half_rabi * drive, i_half_rabi * drive.conjugate()
         a2, b2 = a + half_dt * k1a, b + half_dt * k1b
         k2a = neg_i_ek * a2 + up * b2
@@ -269,7 +270,7 @@ def integrate_ode(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState,
         a3, b3 = a + half_dt * k2a, b + half_dt * k2b
         k3a = neg_i_ek * a3 + up * b3
         k3b = neg_i_ep * b3 + down * a3
-        drive = cmath.exp(1j * _drive_phase_at(sys, pulse, t + dt))
+        drive = exp(1j * (w * (t + dt - origin) + phase))
         up, down = i_half_rabi * drive, i_half_rabi * drive.conjugate()
         a4, b4 = a + dt * k3a, b + dt * k3b
         k4a = neg_i_ek * a4 + up * b4

@@ -729,6 +729,42 @@ def test_overflowing_phase_leaves_clean_stderr(tmp_path, command):
 
 
 # ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_reused_parser_carries_no_state_between_calls(capsys, tmp_path):
+    # main builds its parser once per process; a usage error, a help exit and
+    # each subcommand must leave it as they found it, so a second pass of the
+    # same calls in this process prints exactly what the first pass printed.
+    grid = tmp_path / "grid.csv"
+    calls = [
+        ["pulse", "--mode", "coherent"],
+        ["pulse", "--help"],
+        ["check-condition", "--tau1", "0.3", "--tau2", "1.1"],
+        ["pulse", "--mode", "noncoherent", "--area", "1", "--t0", "0.5", "--step", "0.01"],
+        ["sweep", "--tau1-start", "0", "--tau1-stop", "1", "--tau1-count", "2",
+         "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "3", "--out", str(grid)],
+    ]
+
+    def one_pass():
+        results = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results, grid.read_text()
+
+    first = one_pass()
+    assert [code for code, _, _ in first[0]] == [1, ("exit", 0), 0, 0, 0]
+    assert first[0][0][2] == "error: give --area or --rabi\n"
+    assert one_pass() == first
+    assert cli.build_parser() is not cli.build_parser()
+
+
+# ---------------------------------------------------------------------------
 # installed entry point
 
 

@@ -11,6 +11,7 @@ import pytest
 from conftest import idx
 from shorphase import cli, shor, statevec
 from shorphase.config import DelaySchedule, ExperimentConfig, PipelineMode
+from shorphase.pulses import PulseMode
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -36,10 +37,26 @@ def test_free_evolution_split_weight_matches_residuals(energies, tau1, tau2):
 #: Delays log-uniform over 1e-9 .. 1e9, and energies mostly of order 1 with
 #: some anywhere in float64's finite range.
 LOG_DELAYS = st.floats(-9.0, 9.0).map(lambda power: 10.0 ** power)
-WIDE_ENERGIES = st.lists(
-    st.one_of(st.floats(-20.0, 20.0), st.floats(allow_nan=False, allow_infinity=False)),
-    min_size=16, max_size=16,
-)
+WIDE_ENERGY = st.one_of(st.floats(-20.0, 20.0), st.floats(allow_nan=False, allow_infinity=False))
+WIDE_ENERGIES = st.lists(WIDE_ENERGY, min_size=16, max_size=16)
+EPS = np.finfo(float).eps
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@hypothesis.given(ENERGIES, LOG_DELAYS, LOG_DELAYS)
+def test_free_evolution_split_weight_matches_residuals_at_large_delays(energies, tau1, tau2):
+    # The same identity at delays up to 1e9. Each phase E*tau is rounded to
+    # within eps*|E*tau|, so the bound grows with max|E|*(tau1 + tau2).
+    config = ExperimentConfig(mode=PipelineMode.FREE_EVOLUTION, delays=DelaySchedule(tau1, tau2),
+                              spectrum=tuple(energies))
+    try:
+        report = shor.run_experiment(config)
+    except ValueError:
+        return
+    p, r = report.x_distribution, report.residuals
+    expected = (math.sin(r.delta1 / 2) ** 2 + math.sin(r.delta2 / 2) ** 2) / 2
+    bound = 1e-12 + 4 * EPS * max(map(abs, energies)) * (tau1 + tau2)
+    assert abs(p[1] + p[3] - expected) <= bound
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -108,3 +125,37 @@ def test_satisfying_delays_stay_satisfied_at_any_size(power, split):
     total = 2 * math.pi * turns / (spectrum[idx(2, 0)] - spectrum[idx(0, 0)])
     residual = shor.check_condition(spectrum, DelaySchedule(split * total, (1 - split) * total))
     assert residual.satisfied, residual
+
+
+#: Signed start times log-uniform up to 1e20, and zero.
+SIGNED_LOG_TIMES = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, power: sign * 10.0 ** power,
+              st.sampled_from([-1.0, 1.0]), st.floats(-9.0, 20.0)),
+)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@hypothesis.given(st.sampled_from([m.value for m in PulseMode]), WIDE_ENERGY, WIDE_ENERGY,
+                  SIGNED_LOG_TIMES, st.floats(-6.0, 6.0), st.floats(-3.0, 1.0),
+                  st.floats(1e-4, 1e-2))
+def test_pulse_prints_finite_numbers_or_exits_1(mode, e_k, e_p, t0, log_rabi, log_duration,
+                                                step_share):
+    # A pulse report whose every number is finite, or one line of refusal, at
+    # any start time, Rabi frequency and step.
+    rabi, duration = 10.0 ** log_rabi, 10.0 ** log_duration
+    argv = ["pulse", "--mode", mode, "--t0", repr(t0), f"--energies={e_k!r},{e_p!r}",
+            "--format", "json"]
+    if mode == PulseMode.SUDDEN.value:
+        argv += ["--area", repr(0.5 * rabi * duration)]
+    else:
+        argv += ["--rabi", repr(rabi), "--duration", repr(duration),
+                 "--step", repr(duration * step_share)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == cli.EXIT_USAGE:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+        return
+    assert code == cli.EXIT_OK, code
+    assert all(math.isfinite(x) for x in floats_in(json.loads(out.getvalue())))

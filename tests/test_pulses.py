@@ -333,6 +333,16 @@ PINNED_ODE_BITS = [
     ((PulseMode.NONCOHERENT, 2.4, 0.5, 1.1, 2.0, natural_init(1.0, 0.7, 0.5), 0.0037),
      ("0x1.bae200606bd75p-4", "-0x1.c97cf0778f08dp-3", "-0x1.4f9987f19d842p-1",
       "0x1.6d333829a266dp-1")),
+    ((PulseMode.PHASE_CORRECTED, 1.4, -2.3, 1.6, -0.6, natural_init(0.9, 0.7, -2.3), 0.011),
+     ("0x1.624756b075634p-2", "0x1.79efa2cd04fc3p-3", "-0x1.961c86075eaa2p-2",
+      "-0x1.69a97cb4e17a4p-1")),
+    ((PulseMode.NONCOHERENT, 2.2, -37.5, 0.7, 2.8, natural_init(1.0, 0.7, -37.5), None),
+     ("0x1.29997158c1eb7p-1", "0x1.af79676a822fap-2", "-0x1.815c98ba61d72p-2",
+      "-0x1.2bd9abffe5635p-1")),
+    # t0 = -0.0: the drive time origin is -0.0 here and 0.0 in the other resonant modes.
+    ((PulseMode.NONCOHERENT, 1.7, -0.0, 1.2, -0.9, TwoLevelState(0.5 - 0.2j, 0.64 + 0.55j), None),
+     ("0x1.6d28c3d466fdcp-1", "0x1.afbd71c492de4p-4", "-0x1.50c527d0d1311p-2",
+      "-0x1.393053b848c3dp-1")),
 ]
 
 
