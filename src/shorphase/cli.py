@@ -318,12 +318,12 @@ def _sweep_chunk(config: ExperimentConfig, tau1: np.ndarray, tau2: np.ndarray) -
     k = statevec._first(~(np.isfinite(tau1) & (tau1 >= 0.0) & np.isfinite(tau2) & (tau2 >= 0.0)))
     if k is not None:
         DelaySchedule(float(tau1[k]), float(tau2[k]))  # raises with the schedule's message
-    states, marginals, delta1, delta2, satisfied = shor._evaluate(
+    states, marginals, deltas, satisfied = shor._evaluate(
         np.asarray(config.spectrum), config.mode, tau1, tau2, config.tolerance
     )
     amp11 = states[:, statevec.basis_index(1, 1)]
     # hypot rounds as Python's abs(complex) does; np.abs can differ in the last bit.
-    return (delta1, delta2, satisfied, *marginals.T, np.hypot(amp11.real, amp11.imag))
+    return (*deltas.T, satisfied, *marginals.T, np.hypot(amp11.real, amp11.imag))
 
 
 def _sweep_rows(args, spectrum: np.ndarray):

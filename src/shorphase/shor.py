@@ -17,7 +17,7 @@ import numpy as np
 
 from . import statevec, transforms
 from .config import DelaySchedule, ExperimentConfig, PipelineMode
-from .statevec import basis_index, wrap_phase
+from .statevec import wrap_phase
 
 #: Number of states in the x register.
 D = 4
@@ -62,51 +62,47 @@ class ConditionResidual:
 
 
 def _residuals(spectrum, tau1, tau2, tol):
-    """Wrapped residuals delta1, delta2 and the verdict, for scalar or (B,) delays.
+    """Wrapped residuals (delta1, delta2) as one (..., 2) array, and the verdict.
 
-    ``spectrum`` is a 16-entry table or a (B, 16) array, one per row, and
-    ``tol`` a scalar or a (B,) array. The tolerance must be positive and
-    finite, as in ``ExperimentConfig``. A residual that is not finite (E*tau
-    overflowed) is refused, naming the first bad row, instead of being
-    wrapped into NaN. A residual a*tau1 + b*tau2 is satisfied iff its wrapped
-    value is within max(tol, _RESOLUTION*(|a*tau1| + |b*tau2|)) of zero, so
-    rounding noise at large delays does not read as broken interference.
+    ``spectrum`` is a 16-entry table or a (B, 16) array, one per row; the
+    delays and ``tol`` are scalars or (B,) arrays. A residual that
+    is not finite (E*tau overflowed) is refused, naming the first bad row. A
+    residual a*tau1 + b*tau2 is satisfied iff its wrapped value is within
+    max(tol, _RESOLUTION*(|a*tau1| + |b*tau2|)) of zero, so rounding noise at
+    large delays does not read as broken interference.
     """
     i = statevec._first(~(np.isfinite(tol) & (tol > 0.0)))
     if i is not None:
         bad = np.ravel(tol)[i]
         rule = "positive" if np.isfinite(bad) else "finite"
         raise ValueError(f"tolerance must be {rule}, got {bad}")
-    # e[..., k] is E_k: a scalar for one table, the (B,) column of a (B, 16) batch.
-    e = np.asarray(spectrum, dtype=float)
-
-    def gap(m: int, n: int, k: int, y: int):
-        return e[..., basis_index(m, n)] - e[..., basis_index(k, y)]
-
+    # e[..., m, s]: the energy of branch m before (s = 0) and after (s = 1) the
+    # function evaluation. Residual r pairs branch r + 2 with branch r: same y.
+    e = np.asarray(spectrum, dtype=float)[..., transforms._BRANCHES]
+    t1, t2 = np.asarray(tau1)[..., None], np.asarray(tau2)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         # A gap may overflow too; its residual is then refused below.
-        a1, b1, a2, b2 = gap(2, 0, 0, 0), gap(2, 1, 0, 1), gap(3, 0, 1, 0), gap(3, 3, 1, 3)
-        raw1, raw2 = a1 * tau1 + b1 * tau2, a2 * tau1 + b2 * tau2
+        a, b = e[..., 2:, 0] - e[..., :2, 0], e[..., 2:, 1] - e[..., :2, 1]
+        raw = a * t1 + b * t2
         # |a*tau1| + |b*tau2| may overflow where raw does not; then nothing is resolved.
-        bound1 = np.maximum(tol, _RESOLUTION * (abs(a1 * tau1) + abs(b1 * tau2)))
-        bound2 = np.maximum(tol, _RESOLUTION * (abs(a2 * tau1) + abs(b2 * tau2)))
-    i = statevec._first(~(np.isfinite(raw1) & np.isfinite(raw2)))
+        bound = np.maximum(np.asarray(tol)[..., None], _RESOLUTION * (abs(a * t1) + abs(b * t2)))
+    i = statevec._first(~np.isfinite(raw).all(axis=-1))
     if i is not None:
         raise ValueError(
             "interference residuals are not finite: E*tau overflows at "
             f"tau1 = {np.ravel(tau1)[i]}, tau2 = {np.ravel(tau2)[i]}"
         )
-    delta1, delta2 = wrap_phase(raw1), wrap_phase(raw2)
-    return delta1, delta2, (abs(delta1) <= bound1) & (abs(delta2) <= bound2)
+    delta = wrap_phase(raw)
+    return delta, (abs(delta) <= bound).all(axis=-1)
 
 
 def _evaluate(spectrum, mode: PipelineMode, tau1, tau2, tol):
-    """Final states, x marginals and residuals delta1, delta2, satisfied.
+    """Final states, x marginals, residuals (delta1, delta2) and the verdict.
 
-    ``spectrum`` is one 16-entry array for every row or a (B, 16) array, the
-    delays are scalars or (B,) arrays, and ``tol`` a scalar or a (B,) array.
-    Each check names its first bad row. A run fails as the pipeline would: a
-    bad phase, the y=0 leak or the norm is reported before a bad residual.
+    ``spectrum`` is one 16-entry array for every row or a (B, 16) array; the
+    delays and ``tol`` are scalars or (B,) arrays. Each check
+    names its first bad row. A run fails as the pipeline would: a bad phase,
+    the y=0 leak or the norm is reported before a bad residual.
     """
     states = transforms._final_states(spectrum, mode, tau1, tau2)
     marginals = statevec._x_marginals(states)
@@ -116,8 +112,8 @@ def _evaluate(spectrum, mode: PipelineMode, tau1, tau2, tol):
 def check_condition(spectrum, delays: DelaySchedule, tol: float = 1e-9) -> ConditionResidual:
     """Evaluate both interference residuals for a spectrum and delay pair."""
     table = statevec.make_spectrum(spectrum)
-    delta1, delta2, satisfied = _residuals(table, delays.tau1, delays.tau2, tol)
-    return ConditionResidual(delta1, delta2, bool(satisfied))
+    delta, satisfied = _residuals(table, delays.tau1, delays.tau2, tol)
+    return ConditionResidual(*delta.tolist(), bool(satisfied))
 
 
 def extract_period(measured_x: int) -> int | None:
@@ -210,16 +206,16 @@ def _evaluate_configs(configs: list) -> list[tuple]:
 
     The configs share a mode; each brings its own spectrum, delays and tolerance.
     """
-    states, marginals, delta1, delta2, satisfied = _evaluate(
+    states, marginals, deltas, satisfied = _evaluate(
         np.array([c.spectrum for c in configs]),
         configs[0].mode,
         np.array([c.delays.tau1 for c in configs]),
         np.array([c.delays.tau2 for c in configs]),
         np.array([c.tolerance for c in configs]),
     )
-    rows = zip(states, marginals.tolist(), delta1.tolist(), delta2.tolist(), satisfied.tolist())
-    return [(state, dict(enumerate(dist)), ConditionResidual(*residual))
-            for state, dist, *residual in rows]
+    rows = zip(states, marginals.tolist(), deltas.tolist(), satisfied.tolist())
+    return [(state, dict(enumerate(dist)), ConditionResidual(*delta, verdict))
+            for state, dist, delta, verdict in rows]
 
 
 def _guarded(step, config, *args) -> RunReport:

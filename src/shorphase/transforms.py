@@ -39,6 +39,9 @@ DFT_MATRIX = 0.5 * np.exp(2j * np.pi * np.outer(np.arange(NUM_X), np.arange(NUM_
 #: y(x) = 3^x mod 4 for x = 0..3.
 MOD_EXP_TABLE = tuple(pow(3, x, 4) for x in range(NUM_X))
 
+#: Row m: the flat indices of |m,0> and |m, 3^m mod 4>, the two states branch m visits.
+_BRANCHES = np.array([[basis_index(m, 0), basis_index(m, y)] for m, y in enumerate(MOD_EXP_TABLE)])
+
 #: Amplitude allowed outside the y=0 slice before the function evaluation.
 _Y0_LEAK_TOL = 1e-12
 
@@ -78,20 +81,17 @@ def apply_mod_exp(state: np.ndarray) -> np.ndarray:
     amplitude elsewhere is rejected rather than mapped by a guessed extension.
     A (B, 16) batch is checked row by row and the first leaking row is named.
     """
-    grid = _grid(state)
-    leak = np.abs(grid[..., 1:])
+    amps = np.asarray(state, dtype=complex)
+    leak = np.abs(_grid(amps)[..., 1:])
     if leak.max() > _Y0_LEAK_TOL:
         rows = leak.reshape(-1, NUM_X * (NUM_Y - 1)).max(axis=1)
         raise ValueError(
             f"amplitude outside the y=0 slice (max modulus {rows[rows > _Y0_LEAK_TOL][0]:.3e}); "
             "the function evaluation is defined only there"
         )
-    out = np.zeros(grid.shape, dtype=complex)
-    # Transposed views put the optional batch axis last, so one item per x moves.
-    src, dst = grid.T, out.T
-    for m, y in enumerate(MOD_EXP_TABLE):
-        dst[y, m] = src[0, m]
-    return out.reshape(grid.shape[:-2] + (DIM,))
+    out = np.zeros(amps.shape, dtype=complex)
+    out[..., _BRANCHES[:, 1]] = amps[..., _BRANCHES[:, 0]]
+    return out
 
 
 def dft_x(state: np.ndarray) -> np.ndarray:
@@ -112,19 +112,22 @@ def _after_spread(state: np.ndarray, spectrum: np.ndarray, tau1, tau2) -> np.nda
     return dft_x(state)
 
 
+#: The x spread, and the final state of a zero-delay run, which natural-phase runs phase.
+_SPREAD = superpose_x(statevec.init_ground())
+_IDEAL = _after_spread(_SPREAD, np.zeros(DIM), 0.0, 0.0)
+
+
 def _final_states(spectrum: np.ndarray, mode: PipelineMode, tau1, tau2) -> np.ndarray:
     """Final states: 16 entries for scalar delays and one spectrum, else (B, 16).
 
     ``spectrum`` is one 16-entry table or a (B, 16) array, one per row;
-    ``tau1`` and ``tau2`` are scalars or (B,) arrays.
+    ``tau1`` and ``tau2`` are checked scalars or (B,) arrays.
     """
-    spread = superpose_x(statevec.init_ground())
     if mode is PipelineMode.NATURAL_PHASE:
-        state = _after_spread(spread, np.zeros(DIM), tau1, tau2)
         with np.errstate(over="ignore"):  # an infinite total is refused with its phase
             total = tau1 + tau2
-        return np.multiply(state, statevec._phase_factors(spectrum, total))  # as in free_evolve
-    return _after_spread(spread, spectrum, tau1, tau2)
+        return np.multiply(_IDEAL, statevec._phase_factors(spectrum, total))  # as in free_evolve
+    return _after_spread(_SPREAD, spectrum, tau1, tau2)
 
 
 def run_pipeline(config: ExperimentConfig) -> np.ndarray:
@@ -137,10 +140,10 @@ def run_pipeline(config: ExperimentConfig) -> np.ndarray:
 
     NATURAL_PHASE: same sequence, but every amplitude ends up carrying
     exp(-i*E_mn*(tau1+tau2)), the phase a stationary |m,n> state would have
-    at the final clock time, on top of the transformation-intrinsic factors.
-    Equivalently (and implemented as): the free-evolution pipeline with an
-    all-zero spectrum, then one terminal phase per basis state. Moduli match
-    the zero-delay run, so the x distribution is delay independent.
+    at the final clock time, on top of the transformation-intrinsic factors:
+    the final state of a zero-delay run, computed once, times one terminal
+    phase per basis state. Moduli match the zero-delay run, so the x
+    distribution is delay independent.
     """
     spectrum = np.asarray(config.spectrum, dtype=float)
     return _final_states(spectrum, config.mode, config.delays.tau1, config.delays.tau2)
