@@ -62,6 +62,14 @@ class DelaySchedule:
         return self.tau1 + self.tau2
 
 
+def _check_tolerance(tol):
+    """``tol``, if it is a finite and positive interference tolerance; else ValueError."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        rule = "positive" if math.isfinite(tol) else "finite"
+        raise ValueError(f"tolerance must be {rule}, got {tol}")
+    return tol
+
+
 _DEFAULT_SPECTRUM = tuple(statevec.additive_spectrum())
 
 OUTPUT_FORMATS = ("json", "csv")
@@ -91,10 +99,10 @@ class ExperimentConfig:
         if self.retry_cap < 1:
             raise ConfigError(f"retry_cap must be at least 1, got {self.retry_cap}")
         object.__setattr__(self, "tolerance", float(self.tolerance))
-        if not math.isfinite(self.tolerance):
-            raise ConfigError(f"tolerance must be finite, got {self.tolerance}")
-        if not self.tolerance > 0.0:
-            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        try:
+            _check_tolerance(self.tolerance)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(
                 f"output format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}"

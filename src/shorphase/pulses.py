@@ -212,6 +212,9 @@ def _drive_origin(pulse: PulseSpec) -> float:
 #: Most RK4 steps ``integrate_ode`` takes; about a minute of stepping.
 _MAX_STEPS = 10**7
 
+#: RK4 is stable for a step dt on eigenvalues i*w with |w|*dt up to 2*sqrt(2).
+_RK4_STABLE = 2.0 * math.sqrt(2.0)
+
 
 def integrate_ode(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState,
                   step: float | None = None) -> TwoLevelState:
@@ -223,9 +226,11 @@ def integrate_ode(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState,
     with theta the mode's drive argument, integrated from t0 to t0+tau in
     ceil(tau/step) equal steps. The default step tau/1000 keeps the error and
     the norm drift far below the closed forms' comparison tolerances. A step
-    count above ``_MAX_STEPS`` or not finite, a t0 so large that t0 + dt == t0,
-    and an integration that ends in a non-finite amplitude, raise ValueError.
-    Not defined for sudden pulses.
+    count above ``_MAX_STEPS`` or not finite, a given step whose dt exceeds
+    RK4's stability limit (rho*dt > 2*sqrt(2), with rho = max(|E_k|, |E_p|)
+    + rabi/2 bounding the generator's eigenvalues), a t0 so large that
+    t0 + dt == t0, and an integration that ends in a non-finite amplitude,
+    raise ValueError. Not defined for sudden pulses.
     """
     if pulse.mode is PulseMode.SUDDEN:
         raise ValueError("sudden pulses are instantaneous; use evolve_sudden")
@@ -234,7 +239,8 @@ def integrate_ode(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState,
     tau = pulse.tau
     if tau == 0.0:
         return init
-    if step is None:
+    given = step is not None
+    if not given:
         step = tau / 1000.0
     # A default step can underflow to 0 for a subnormal tau.
     steps_needed = tau / step if step > 0 else math.inf
@@ -243,6 +249,10 @@ def integrate_ode(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState,
                          f"more than the limit of {_MAX_STEPS}")
     n_steps = max(1, math.ceil(steps_needed))
     dt = tau / n_steps
+    rho = max(abs(sys.e_k), abs(sys.e_p)) + 0.5 * pulse.rabi
+    if given and rho * dt > _RK4_STABLE:
+        raise ValueError(f"step {step!r} is past RK4's stability limit: rho*dt = {rho * dt:.3g} > "
+                         f"2*sqrt(2) for rho = max(|E_k|, |E_p|) + rabi/2 = {rho!r}")
     if pulse.t0 + dt == pulse.t0:
         raise ValueError(f"RK4 clock cannot advance: t0 + dt == t0 for t0 = {pulse.t0!r}, "
                          f"dt = {dt!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec, transforms
-from .config import DelaySchedule, ExperimentConfig, PipelineMode
+from .config import DelaySchedule, ExperimentConfig, PipelineMode, _check_tolerance
 from .statevec import wrap_phase
 
 #: Number of states in the x register.
@@ -65,17 +65,12 @@ def _residuals(spectrum, tau1, tau2, tol):
     """Wrapped residuals (delta1, delta2) as one (..., 2) array, and the verdict.
 
     ``spectrum`` is a 16-entry table or a (B, 16) array, one per row; the
-    delays and ``tol`` are scalars or (B,) arrays. A residual that
+    delays and the checked ``tol`` are scalars or (B,) arrays. A residual that
     is not finite (E*tau overflowed) is refused, naming the first bad row. A
     residual a*tau1 + b*tau2 is satisfied iff its wrapped value is within
     max(tol, _RESOLUTION*(|a*tau1| + |b*tau2|)) of zero, so rounding noise at
     large delays does not read as broken interference.
     """
-    i = statevec._first(~(np.isfinite(tol) & (tol > 0.0)))
-    if i is not None:
-        bad = np.ravel(tol)[i]
-        rule = "positive" if np.isfinite(bad) else "finite"
-        raise ValueError(f"tolerance must be {rule}, got {bad}")
     # e[..., m, s]: the energy of branch m before (s = 0) and after (s = 1) the
     # function evaluation. Residual r pairs branch r + 2 with branch r: same y.
     e = np.asarray(spectrum, dtype=float)[..., transforms._BRANCHES]
@@ -100,7 +95,7 @@ def _evaluate(spectrum, mode: PipelineMode, tau1, tau2, tol):
     """Final states, x marginals, residuals (delta1, delta2) and the verdict.
 
     ``spectrum`` is one 16-entry array for every row or a (B, 16) array; the
-    delays and ``tol`` are scalars or (B,) arrays. Each check
+    delays and the checked ``tol`` are scalars or (B,) arrays. Each check
     names its first bad row. A run fails as the pipeline would: a bad phase,
     the y=0 leak or the norm is reported before a bad residual.
     """
@@ -112,7 +107,7 @@ def _evaluate(spectrum, mode: PipelineMode, tau1, tau2, tol):
 def check_condition(spectrum, delays: DelaySchedule, tol: float = 1e-9) -> ConditionResidual:
     """Evaluate both interference residuals for a spectrum and delay pair."""
     table = statevec.make_spectrum(spectrum)
-    delta, satisfied = _residuals(table, delays.tau1, delays.tau2, tol)
+    delta, satisfied = _residuals(table, delays.tau1, delays.tau2, _check_tolerance(tol))
     return ConditionResidual(*delta.tolist(), bool(satisfied))
 
 
@@ -219,9 +214,11 @@ def _evaluate_configs(configs: list) -> list[tuple]:
 
 
 def _guarded(step, config, *args) -> RunReport:
-    """``step(config, *args)``, or a report carrying the error it raised."""
+    """``step(config, *args)``, or a report carrying the error it raised; a Warning propagates."""
     try:
         return step(config, *args)
+    except Warning:
+        raise
     except Exception as exc:
         return RunReport(config=config, error=f"{type(exc).__name__}: {exc}")
 
@@ -241,7 +238,8 @@ def sweep(configs) -> list[RunReport]:
     Configs are grouped by mode and computed in batches of ``_SWEEP_CHUNK``;
     only the seeded draw runs per config. A batch that raises is redone
     config by config through ``run_experiment``, so each failing config gets
-    its own error.
+    its own error. A warning raised as an exception (a ``-W error`` filter)
+    is neither redone nor recorded: it reaches the caller.
     """
     configs = list(configs)
     if not configs:
@@ -257,6 +255,8 @@ def sweep(configs) -> list[RunReport]:
             batch = [configs[i] for i in chunk]
             try:
                 outputs = _evaluate_configs(batch)
+            except Warning:
+                raise
             except Exception:
                 done = [_guarded(run_experiment, config) for config in batch]
             else:

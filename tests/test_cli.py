@@ -305,7 +305,10 @@ def test_pulse_flag_validation(capsys):
      "tau = 1.0 in steps of 1e-300 needs 1e+300 RK4 steps, more than the limit of 10000000"),
     (["--area", "1", "--duration", "1e10", "--step", "5e-324"],
      "tau = 10000000000.0 in steps of 5e-324 needs inf RK4 steps, more than the limit of 10000000"),
-], ids=["diverged", "too-many-steps", "step-count-overflows"])
+    (["--rabi", "1000", "--duration", "1", "--step", "0.01"],
+     "step 0.01 is past RK4's stability limit: rho*dt = 5.03 > 2*sqrt(2) "
+     "for rho = max(|E_k|, |E_p|) + rabi/2 = 503.0"),
+], ids=["diverged", "too-many-steps", "step-count-overflows", "unstable-step"])
 def test_pulse_integrator_refusals_leave_clean_stderr(tmp_path, flags, message):
     # A diverged integration or an unfinishable step count is one clean line
     # and exit 1: no NaN report, no numpy warning, no traceback, no endless run.
@@ -469,6 +472,17 @@ def test_check_condition_satisfied_within_float_resolution(capsys):
     report = json.loads(out)
     assert min(abs(report["delta1"]), abs(report["delta2"])) > 1e-9
     assert report["satisfied"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-condition", "--tolerance", "0"], "error: tolerance must be positive, got 0.0\n"),
+    (["check-condition", "--tolerance=-1e-9"], "error: tolerance must be positive, got -1e-09\n"),
+    (["shor-demo", "--tolerance", "0"], "config error: tolerance must be positive, got 0.0\n"),
+    (["shor-demo", "--tolerance", "nan"], "config error: tolerance must be finite, got nan\n"),
+])
+def test_tolerance_rule_reads_the_same_in_both_reports(capsys, argv, message):
+    # One rule: a config reports it as a config error, check-condition as an error.
+    assert run_cli(capsys, *argv) == (1, "", message)
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan"])
@@ -651,6 +665,12 @@ def first_differing_line(text: str, expected: str):
      "config error: tau1 must be finite and non-negative, got -1.0\n"),
     (["--tau1-start", "0", "--tau1-stop", "1", "--tau1-count", "3", "--tolerance", "inf"],
      "config error: tolerance must be finite, got inf\n"),
+    (["--tau1-start", "0", "--tau1-stop", "1", "--tau1-count", "3", "--tolerance", "0"],
+     "config error: tolerance must be positive, got 0.0\n"),
+    (["--tau1-start", "0", "--tau1-stop", "1", "--tau1-count", "3", "--omega", "1,2,x,4"],
+     "error: --omega must be comma-separated numbers, got '1,2,x,4'\n"),
+    (["--tau1-start", "0", "--tau1-stop", "1", "--tau1-count", "3", "--omega", "1,2,3"],
+     "error: --omega needs 4 values, got 3\n"),
 ])
 def test_sweep_error_text(capsys, tmp_path, flags, message):
     out_path = tmp_path / "grid.csv"

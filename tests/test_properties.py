@@ -159,3 +159,28 @@ def test_pulse_prints_finite_numbers_or_exits_1(mode, e_k, e_p, t0, log_rabi, lo
         return
     assert code == cli.EXIT_OK, code
     assert all(math.isfinite(x) for x in floats_in(json.loads(out.getvalue())))
+
+
+#: The pulse modes that run the integrator.
+RESONANT_MODES = [m.value for m in PulseMode if m is not PulseMode.SUDDEN]
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@hypothesis.given(st.sampled_from(RESONANT_MODES), WIDE_ENERGY, WIDE_ENERGY,
+                  st.floats(-6.0, 6.0), st.floats(-3.0, 1.0), st.floats(-4.0, 0.0))
+def test_pulse_runs_a_given_step_only_inside_rk4_stability(mode, e_k, e_p, log_rabi, log_duration,
+                                                            log_step_share):
+    # Exit 0 with --step means the step taken is inside RK4's stability limit:
+    # rho*dt <= 2*sqrt(2), rho = max(|E_k|, |E_p|) + rabi/2, dt = duration/ceil(duration/step).
+    rabi, duration = 10.0 ** log_rabi, 10.0 ** log_duration
+    step = duration * 10.0 ** log_step_share
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["pulse", "--mode", mode, f"--energies={e_k!r},{e_p!r}",
+                         "--rabi", repr(rabi), "--duration", repr(duration), "--step", repr(step)])
+    if code == cli.EXIT_USAGE:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+        return
+    assert code == cli.EXIT_OK, code
+    dt = duration / max(1, math.ceil(duration / step))
+    assert (max(abs(e_k), abs(e_p)) + 0.5 * rabi) * dt <= 2.0 * math.sqrt(2.0)

@@ -363,6 +363,22 @@ def test_integrate_ode_refuses_divergence():
         pulses.integrate_ode(system, pulse, natural_init(1.0, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("step, refused", [(0.005, False), (0.00566, False), (0.006, True)])
+def test_integrate_ode_refuses_a_given_step_past_rk4_stability(step, refused):
+    # rho = max(|E_k|, |E_p|) + rabi/2 = 500. Step 0.00566 alone gives
+    # rho*step > 2*sqrt(2), but the dt it takes, 1/177, gives 2.825 and runs.
+    system = TwoLevelSystem(1.0, 3.0)
+    pulse = PulseSpec(mode=PulseMode.COHERENT, rabi=994.0, tau=1.0)
+    init = natural_init(1.0, 1.0, 0.0)
+    if refused:
+        with pytest.raises(ValueError, match=r"^step 0\.006 is past RK4's stability limit: "
+                                             r"rho\*dt = 2\.99 > 2\*sqrt\(2\)"):
+            pulses.integrate_ode(system, pulse, init, step)
+    else:
+        # Stable is not accurate: so coarse a step damps the amplitudes, but it never grows them.
+        assert pulses.integrate_ode(system, pulse, init, step).probability <= 1.0
+
+
 def test_integrate_ode_refuses_unfinishable_step_counts(monkeypatch):
     system = TwoLevelSystem(1.0, 3.0)
     init = natural_init(1.0, 1.0, 0.0)
@@ -420,6 +436,19 @@ def test_closed_forms_conserve_probability():
 
 # ---------------------------------------------------------------------------
 # value types
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["rabi", "t0", "tau", "phase"])
+def test_pulse_spec_refuses_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        PulseSpec(mode=PulseMode.COHERENT, **{name: value})
+
+
+@pytest.mark.parametrize("area", [math.inf, -math.inf, math.nan])
+def test_sudden_pulse_refuses_non_finite_area(area):
+    with pytest.raises(ValueError, match="^area must be finite$"):
+        pulses.evolve_sudden(TwoLevelState(1.0, 0.0), area)
 
 
 def test_pulse_spec_wraps_phase():

@@ -136,6 +136,23 @@ def test_sweep_overflowing_gap_warns_nothing():
     assert "not finite" in report.error
 
 
+@pytest.mark.parametrize("step", ["_evaluate", "_finish"])
+def test_sweep_lets_a_raised_warning_through(monkeypatch, step):
+    # Under an error filter a warning arrives as an exception. Neither the
+    # batch's config-by-config redo nor the per-config guard may absorb it.
+    real = getattr(shor, step)
+
+    def warn_then_run(*args):
+        warnings.warn("patched warning", RuntimeWarning)
+        return real(*args)
+
+    monkeypatch.setattr(shor, step, warn_then_run)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="^patched warning$"):
+            shor.sweep([config_for()])
+
+
 # ---------------------------------------------------------------------------
 # period extraction and factoring
 

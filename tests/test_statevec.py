@@ -77,6 +77,11 @@ def test_free_evolve_rejects_bad_dt():
             statevec.free_evolve(state, spectrum, dt)
 
 
+def test_free_evolve_refuses_a_2d_dt():
+    with pytest.raises(ValueError, match=r"^dt must be a scalar or a \(B,\) array, got shape \(2, 2\)$"):
+        statevec.free_evolve(statevec.init_ground(), np.zeros(16), np.zeros((2, 2)))
+
+
 def test_free_evolve_rejects_bad_shapes():
     with pytest.raises(ValueError):
         statevec.free_evolve(np.zeros(8, dtype=complex), np.zeros(16), 1.0)
