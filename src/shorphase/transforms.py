@@ -112,7 +112,7 @@ def _after_spread(state: np.ndarray, spectrum: np.ndarray, tau1, tau2) -> np.nda
     return dft_x(state)
 
 
-#: The x spread, and the final state of a zero-delay run, which natural-phase runs phase.
+#: The x spread, and the final state of a zero-delay run (natural-phase runs add terminal phases).
 _SPREAD = superpose_x(statevec.init_ground())
 _IDEAL = _after_spread(_SPREAD, np.zeros(DIM), 0.0, 0.0)
 
