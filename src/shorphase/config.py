@@ -70,9 +70,25 @@ def _check_tolerance(tol):
     return tol
 
 
-_DEFAULT_SPECTRUM = tuple(statevec.additive_spectrum())
+#: Python floats, as every config's spectrum: ``config_to_text`` writes their reprs.
+_DEFAULT_SPECTRUM = statevec._energy_table(statevec.DEFAULT_OMEGAS)
 
 OUTPUT_FORMATS = ("json", "csv")
+
+
+def _coerce(config, name: str, kind):
+    """Set ``name`` to ``kind`` of its value; ConfigError if that fails or drops a fraction."""
+    value = getattr(config, name)
+    try:
+        coerced = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        coerced = None
+    # A string such as "7" is parsed; an integer field takes 4.0 but refuses 2.7.
+    if coerced is None or kind is int and not isinstance(value, str) and coerced != value:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    object.__setattr__(config, name, coerced)
+    return coerced
 
 
 @dataclass(frozen=True)
@@ -90,17 +106,15 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "mode", _parse_mode(self.mode))
         try:
-            table = statevec.make_spectrum(self.spectrum)
-        except ValueError as exc:
+            object.__setattr__(self, "spectrum", statevec._energy_table(self.spectrum))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-        object.__setattr__(self, "spectrum", tuple(table.tolist()))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "retry_cap", int(self.retry_cap))
-        if self.retry_cap < 1:
+        _coerce(self, "seed", int)
+        if _coerce(self, "retry_cap", int) < 1:
             raise ConfigError(f"retry_cap must be at least 1, got {self.retry_cap}")
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        tolerance = _coerce(self, "tolerance", float)
         try:
-            _check_tolerance(self.tolerance)
+            _check_tolerance(tolerance)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.output_format not in OUTPUT_FORMATS:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import statevec, transforms
+from . import _pcg64, statevec, transforms
 from .config import DelaySchedule, ExperimentConfig, PipelineMode, _check_tolerance
 from .statevec import wrap_phase
 
@@ -77,15 +77,16 @@ def _residuals(spectrum, tau1, tau2, tol):
     t1, t2 = np.asarray(tau1)[..., None], np.asarray(tau2)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         # A gap may overflow too; its residual is then refused below.
-        a, b = e[..., 2:, 0] - e[..., :2, 0], e[..., 2:, 1] - e[..., :2, 1]
-        raw = a * t1 + b * t2
+        a_t1 = (e[..., 2:, 0] - e[..., :2, 0]) * t1
+        b_t2 = (e[..., 2:, 1] - e[..., :2, 1]) * t2
+        raw = a_t1 + b_t2
         # |a*tau1| + |b*tau2| may overflow where raw does not; then nothing is resolved.
-        bound = np.maximum(np.asarray(tol)[..., None], _RESOLUTION * (abs(a * t1) + abs(b * t2)))
-    i = statevec._first(~np.isfinite(raw).all(axis=-1))
+        bound = np.maximum(np.asarray(tol)[..., None], _RESOLUTION * (abs(a_t1) + abs(b_t2)))
+    i = statevec._first(~np.isfinite(raw))  # raw[..., r]: its row is i // 2
     if i is not None:
         raise ValueError(
             "interference residuals are not finite: E*tau overflows at "
-            f"tau1 = {np.ravel(tau1)[i]}, tau2 = {np.ravel(tau2)[i]}"
+            f"tau1 = {np.ravel(tau1)[i // 2]}, tau2 = {np.ravel(tau2)[i // 2]}"
         )
     delta = wrap_phase(raw)
     return delta, (abs(delta) <= bound).all(axis=-1)
@@ -156,61 +157,87 @@ class RunReport:
     error: str | None = None
 
 
-def _finish(config: ExperimentConfig, state, distribution, residuals) -> RunReport:
-    """The per-config step after the batch: seeded draw with retries, period and factor.
-
-    x = 0 carries no period information, so the measurement is redrawn from
-    the same seeded stream up to ``config.retry_cap`` times before giving up
-    with a diagnostic. A measured x that does not divide the register size
-    (possible only when interference is destroyed) is likewise reported as a
-    diagnostic instead of a period.
-    """
-    rng = np.random.default_rng(config.seed)
-    measured = statevec.draw_x(distribution, rng)
-    retries = 0
-    while measured == 0 and retries < config.retry_cap:
-        retries += 1
-        measured = statevec.draw_x(distribution, rng)
-
-    report = RunReport(
-        config=config,
-        final_state=state,
-        x_distribution=distribution,
-        residuals=residuals,
-        measured_x=measured,
-        retries=retries,
-    )
-    if measured == 0:
-        report.diagnostic = (
-            f"retry cap exhausted: {retries + 1} consecutive measurements returned x = 0"
-        )
-        return report
+def _outcome(measured_x: int) -> tuple:
+    """(period, factor, diagnostic) of a measured x != 0."""
     try:
-        report.period = extract_period(measured)
+        period = extract_period(measured_x)
     except PeriodExtractionError as exc:
-        report.diagnostic = str(exc)
-        return report
-    report.factor = factor_from_period(report.period)
-    if report.factor is None:
-        report.diagnostic = f"period {report.period} yields no nontrivial factor"
-    return report
+        return None, None, str(exc)
+    factor = factor_from_period(period)
+    return period, factor, None if factor else f"period {period} yields no nontrivial factor"
+
+
+#: The period, factor and diagnostic of each x != 0: they depend on x alone.
+_OUTCOMES = {x: _outcome(x) for x in range(1, D)}
+
+#: Batches of at least this many configs draw from ``_pcg64.Pcg64``; below it,
+#: numpy's per-seed generator is faster (crossover 16-32 rows on a 2-vCPU host).
+_STREAM_MIN_ROWS = 32
+
+
+def _seeded_draws(seeds, caps, marginals):
+    """Measured x and retry count of each row, from its ``default_rng(seed)`` stream.
+
+    x = 0 carries no period information, so rows draw in rounds: each round
+    draws again for the rows still at x = 0 with retries left. A batch of
+    ``_STREAM_MIN_ROWS`` or more seeds in [0, 2**128) draws from the batched
+    stream; any other batch uses ``np.random.default_rng(seed)``, so a
+    negative seed fails with numpy's own error.
+    """
+    n = len(seeds)
+    batched = n >= _STREAM_MIN_ROWS and all(0 <= s < _pcg64.SEED_LIMIT for s in seeds)
+    stream = _pcg64.Pcg64(seeds) if batched else None
+    gens = [] if batched else [np.random.default_rng(s) for s in seeds]
+    u, retries, rows, p0 = [0.0] * n, [0] * n, list(range(n)), marginals[:, 0].tolist()
+    while rows:
+        drawn = (stream.random(np.array(rows)).tolist() if batched
+                 else [gens[i].random() for i in rows])
+        again = []
+        for i, v in zip(rows, drawn):
+            u[i] = v
+            # x = 0 exactly when u < p0, the draw rule's first threshold.
+            if v < p0[i] and retries[i] < caps[i]:
+                retries[i] += 1
+                again.append(i)
+        rows = again
+    return statevec._draw_rule(np.array(u), marginals).tolist(), retries
+
+
+def _finish(config: ExperimentConfig, state, distribution, residuals, measured_x,
+            retries) -> RunReport:
+    """The per-config step after the batch: the report, with the period and factor of its x.
+
+    A run that measured x = 0 on every draw up to ``config.retry_cap`` retries
+    gives up with a diagnostic, and so does an x that does not divide the
+    register size (possible only when interference is destroyed).
+    """
+    if measured_x:
+        period, factor, diagnostic = _OUTCOMES[measured_x]
+    else:
+        period = factor = None
+        diagnostic = f"retry cap exhausted: {retries + 1} consecutive measurements returned x = 0"
+    return RunReport(config=config, final_state=state, x_distribution=distribution,
+                     residuals=residuals, measured_x=measured_x, period=period, factor=factor,
+                     retries=retries, diagnostic=diagnostic)
 
 
 def _evaluate_configs(configs: list) -> list[tuple]:
-    """(final state, x distribution, residuals) of each config, computed as one batch.
+    """(final state, x distribution, residuals, measured x, retries) of each config, as one batch.
 
-    The configs share a mode; each brings its own spectrum, delays and tolerance.
+    The configs share a mode; each brings its own spectrum, delays, tolerance,
+    seed and retry cap.
     """
+    spectra, tau1, tau2, tols, seeds, caps = zip(*[
+        (c.spectrum, c.delays.tau1, c.delays.tau2, c.tolerance, c.seed, c.retry_cap)
+        for c in configs
+    ])
     states, marginals, deltas, satisfied = _evaluate(
-        np.array([c.spectrum for c in configs]),
-        configs[0].mode,
-        np.array([c.delays.tau1 for c in configs]),
-        np.array([c.delays.tau2 for c in configs]),
-        np.array([c.tolerance for c in configs]),
+        np.array(spectra), configs[0].mode, np.array(tau1), np.array(tau2), np.array(tols)
     )
-    rows = zip(states, marginals.tolist(), deltas.tolist(), satisfied.tolist())
-    return [(state, dict(enumerate(dist)), ConditionResidual(*delta, verdict))
-            for state, dist, delta, verdict in rows]
+    x, retries = _seeded_draws(seeds, caps, marginals)
+    rows = zip(states, marginals.tolist(), deltas.tolist(), satisfied.tolist(), x, retries)
+    return [(state, dict(enumerate(dist)), ConditionResidual(*delta, verdict), xi, retry)
+            for state, dist, delta, verdict, xi, retry in rows]
 
 
 def _guarded(step, config, *args) -> RunReport:
@@ -235,10 +262,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 def sweep(configs) -> list[RunReport]:
     """One report per config, in order; failures are recorded, never raised.
 
-    Configs are grouped by mode and computed in batches of ``_SWEEP_CHUNK``;
-    only the seeded draw runs per config. A batch that raises is redone
-    config by config through ``run_experiment``, so each failing config gets
-    its own error. A warning raised as an exception (a ``-W error`` filter)
+    Configs are grouped by mode and computed in batches of ``_SWEEP_CHUNK``,
+    seeded draws included; only the report is built per config. A batch that
+    raises is redone config by config through ``run_experiment``, so each
+    failing config gets its own error. A warning raised as an exception (a ``-W error`` filter)
     is neither redone nor recorded: it reaches the caller.
     """
     configs = list(configs)

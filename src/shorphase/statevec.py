@@ -13,6 +13,8 @@ inputs are never mutated, results are fresh arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DIM = 16
@@ -47,11 +49,31 @@ def norm(state: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(state, dtype=complex)))
 
 
-#: Excitation bits (x0, x1, y0, y1) of every basis state, in index order 4m+n.
-_QUBIT_BITS = np.array(
-    [[m & 1, (m >> 1) & 1, n & 1, (n >> 1) & 1] for m in range(NUM_X) for n in range(NUM_Y)],
-    dtype=float,
-)
+def _energy_table(values, omegas_only: bool = False) -> tuple[float, ...]:
+    """The one spectrum rule: 16 energies, as Python floats, from 4 qubit frequencies or 16.
+
+    A list or tuple of Python floats needs no numpy; anything else goes
+    through numpy's float conversion first, with its own errors.
+    """
+    if type(values) in (tuple, list) and set(map(type, values)) == {float}:
+        shape = (len(values),)
+    else:
+        values = np.asarray(values, dtype=float)
+        shape = values.shape
+        values = values.tolist() if values.ndim == 1 else ()
+    if shape == (4,) or omegas_only:
+        if shape != (4,) or not all(map(math.isfinite, values)):
+            raise ValueError("expected four finite qubit frequencies")
+        # Each qubit's frequency times its excitation bit, 0.0 or 1.0, then the four
+        # terms of |m,n> (bits x0, x1, y0, y1) added left to right.
+        x0, x1, y0, y1 = [(w * 0.0, w * 1.0) for w in values]
+        return tuple([x0[m & 1] + x1[m >> 1] + y0[n & 1] + y1[n >> 1]
+                      for m in range(NUM_X) for n in range(NUM_Y)])
+    if shape != (DIM,):
+        raise ValueError(f"spectrum must have 4 or 16 entries, got shape {shape}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("spectrum entries must be finite")
+    return tuple(values)
 
 
 def additive_spectrum(omegas=DEFAULT_OMEGAS) -> np.ndarray:
@@ -60,29 +82,18 @@ def additive_spectrum(omegas=DEFAULT_OMEGAS) -> np.ndarray:
     ``omegas`` are the four single-qubit frequencies in register order
     (x0, x1, y0, y1). Each excited qubit contributes its frequency.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    if omegas.shape != (4,) or not np.isfinite(omegas).all():
-        raise ValueError("expected four finite qubit frequencies")
-    terms = _QUBIT_BITS * omegas
-    # Added left to right, as the formula reads.
-    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+    return np.array(_energy_table(omegas, omegas_only=True))
 
 
 def make_spectrum(values) -> np.ndarray:
     """Build a spectrum from a 4-entry qubit-frequency quadruple or a full 16-entry table."""
-    values = np.asarray(values, dtype=float)
-    if values.shape == (4,):
-        return additive_spectrum(values)
-    if values.shape == (DIM,):
-        if not np.isfinite(values).all():
-            raise ValueError("spectrum entries must be finite")
-        return values.copy()
-    raise ValueError(f"spectrum must have 4 or 16 entries, got shape {values.shape}")
+    return np.array(_energy_table(values))
 
 
 def _first(bad) -> int | None:
     """Row-major index of the first True entry of a boolean mask, or None if there is none."""
-    return int(np.flatnonzero(bad)[0]) if bad.any() else None
+    # count_nonzero is one C call; ndarray.any goes through a Python wrapper first.
+    return int(np.flatnonzero(bad)[0]) if np.count_nonzero(bad) else None
 
 
 def _phase_factors(energies: np.ndarray, dt) -> np.ndarray:
@@ -152,15 +163,17 @@ def measure_x_distribution(state: np.ndarray) -> dict[int, float]:
     return dict(enumerate(_x_marginals(np.asarray(state, dtype=complex)).tolist()))
 
 
+def _draw_rule(u: np.ndarray, marginals: np.ndarray) -> np.ndarray:
+    """x of each row: the first x with u < cumsum(p)[x], else the last; u (B,), marginals (B, 4)."""
+    thresholds = np.add.accumulate(marginals, axis=-1)
+    thresholds[:, -1] = np.inf
+    return (u[:, None] < thresholds).argmax(axis=-1)
+
+
 def draw_x(distribution: dict[int, float], rng: np.random.Generator) -> int:
     """Draw one x outcome from a distribution using a caller-owned generator."""
-    u = rng.random()
-    acc = 0.0
-    for x in range(NUM_X):
-        acc += distribution.get(x, 0.0)
-        if u < acc:
-            return x
-    return NUM_X - 1
+    p = [[distribution.get(x, 0.0) for x in range(NUM_X)]]
+    return int(_draw_rule(np.array([rng.random()]), np.array(p))[0])
 
 
 def sample_x(state: np.ndarray, seed: int) -> int:

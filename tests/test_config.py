@@ -103,3 +103,39 @@ def test_text_round_trip_rebuilds_identical_config():
 def test_build_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         build_config({"speed": 3})
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"retry_cap": 2.7}, "retry_cap must be an integer, got 2.7"),
+        ({"retry_cap": math.inf}, "retry_cap must be an integer, got inf"),
+        ({"retry_cap": 0.0}, "retry_cap must be at least 1, got 0"),
+        ({"tolerance": None}, "tolerance must be a number, got None"),
+        ({"tolerance": "x"}, "tolerance must be a number, got 'x'"),
+        ({"tolerance": math.nan}, "tolerance must be finite, got nan"),
+        ({"energies": [1j] * 16}, "float() argument must be a string or a real number, not 'complex'"),
+    ],
+)
+def test_bad_field_values_are_config_errors_naming_the_field(settings, message):
+    with pytest.raises(ConfigError) as err:
+        build_config(settings)
+    assert str(err.value) == message
+
+
+def test_integral_values_and_negative_seeds_pass_validation():
+    # A negative seed is numpy's to refuse, when a run draws from it.
+    config = build_config({"seed": -1, "retry_cap": 4.0, "tolerance": 1, "omega": [1, 2, 3, 4]})
+    assert (config.seed, config.retry_cap, config.tolerance) == (-1, 4, 1.0)
+    assert type(config.retry_cap) is int and type(config.tolerance) is float
+    assert all(type(e) is float for e in config.spectrum)
+
+
+def test_every_config_spectrum_holds_python_floats():
+    # config_to_text writes reprs, and a numpy scalar's repr is not a float literal.
+    for config in (ExperimentConfig(), build_config({"energies": statevec.additive_spectrum()})):
+        assert all(type(e) is float for e in config.spectrum)
+        assert "np." not in config_to_text(config)

@@ -184,3 +184,26 @@ def test_pulse_runs_a_given_step_only_inside_rk4_stability(mode, e_k, e_p, log_r
     assert code == cli.EXIT_OK, code
     dt = duration / max(1, math.ceil(duration / step))
     assert (max(abs(e_k), abs(e_p)) + 0.5 * rabi) * dt <= 2.0 * math.sqrt(2.0)
+
+
+#: Qubit frequencies of either sign, signed zeros and magnitudes up to 1e300.
+OMEGA = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300), st.floats(-10.0, 10.0))
+
+
+def numpy_additive_table(omegas) -> np.ndarray:
+    """The additive table as numpy computes it: each bit times its frequency, summed left to right."""
+    bits = np.array([[m & 1, m >> 1, n & 1, n >> 1] for m in range(4) for n in range(4)], dtype=float)
+    terms = bits * np.asarray(omegas, dtype=float)
+    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@hypothesis.given(st.lists(OMEGA, min_size=4, max_size=4))
+def test_python_float_spectrum_rule_is_numpys_bit_for_bit(omegas):
+    # Compared by float.hex, so a -0.0 that became 0.0 fails too.
+    expected = [float(e).hex() for e in numpy_additive_table(omegas)]
+    for table in (statevec._energy_table(omegas), statevec._energy_table(np.array(omegas)),
+                  statevec.additive_spectrum(omegas).tolist(), statevec.make_spectrum(omegas).tolist(),
+                  ExperimentConfig(spectrum=tuple(omegas)).spectrum):
+        assert [e.hex() for e in table] == expected
+        assert all(type(e) is float for e in table)

@@ -346,9 +346,14 @@ def test_sweep_matches_run_experiment():
             state = transforms.run_pipeline(config)
             distribution = statevec.measure_x_distribution(state)
             residuals = shor.check_condition(config.spectrum, config.delays, config.tolerance)
+            # The seeded draw as a lone run made it: one generator per config.
+            rng = np.random.default_rng(config.seed)
+            measured, retries = statevec.draw_x(distribution, rng), 0
+            while measured == 0 and retries < config.retry_cap:
+                measured, retries = statevec.draw_x(distribution, rng), retries + 1
         except ValueError as exc:
             return shor.RunReport(config=config, error=f"{type(exc).__name__}: {exc}")
-        return shor._finish(config, state, distribution, residuals)
+        return shor._finish(config, state, distribution, residuals, measured, retries)
 
     def run_alone(config):
         try:

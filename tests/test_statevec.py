@@ -304,6 +304,32 @@ def test_make_spectrum_accepts_quadruple_and_table():
         statevec.make_spectrum([math.nan] * 16)
 
 
+@pytest.mark.parametrize(
+    "values, make_text, additive_text",
+    [
+        ([1.0, 2.0, 3.0], "spectrum must have 4 or 16 entries, got shape (3,)", None),
+        (np.zeros((4, 4)), "spectrum must have 4 or 16 entries, got shape (4, 4)", None),
+        ([[1.0, 2.0], [3.0, 4.0]], "spectrum must have 4 or 16 entries, got shape (2, 2)", None),
+        ("abc", "could not convert string to float: 'abc'", "could not convert string to float: 'abc'"),
+        ("1234", "spectrum must have 4 or 16 entries, got shape ()", None),
+        ([math.nan] * 16, "spectrum entries must be finite", None),
+        ([1.0, 2.0, 3.0, math.inf], "expected four finite qubit frequencies", None),
+        (np.array([1.0, -math.inf, 3.0, 4.0]), "expected four finite qubit frequencies", None),
+        (list(range(16)), None, None),
+    ],
+)
+def test_spectrum_refusals_keep_their_texts(values, make_text, additive_text):
+    # additive_spectrum refuses all but four finite frequencies with one text.
+    additive_text = additive_text or "expected four finite qubit frequencies"
+    for build, text in ((statevec.make_spectrum, make_text), (statevec.additive_spectrum, additive_text)):
+        if text is None:
+            assert build(values).tolist() == [float(v) for v in values]
+            continue
+        with pytest.raises(ValueError) as err:
+            build(values)
+        assert str(err.value) == text
+
+
 def test_make_spectrum_copies_table():
     table = np.arange(16.0)
     spectrum = statevec.make_spectrum(table)

@@ -315,6 +315,12 @@ def test_run_history_chain_rejects_bad_branch():
         transforms.run_history_chain(DEFAULT_SPECTRUM, DelaySchedule(0.0, 0.0), 4)
 
 
+@pytest.mark.parametrize("shape", [(4,), (17,), (2, 2, 16)])
+def test_run_history_chain_refuses_a_spectrum_of_another_shape(shape):
+    with pytest.raises(ValueError, match="^state and spectrum must both have 16 entries$"):
+        transforms.run_history_chain(np.zeros(shape), DelaySchedule(0.5, 0.5), 1)
+
+
 # ---------------------------------------------------------------------------
 # config types
 
