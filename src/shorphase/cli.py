@@ -25,7 +25,8 @@ import numpy as np
 
 from . import pulses, shor, statevec
 from .config import (
-    _CONFIG_FIELDS,
+    _CONFIG_KEYS,
+    _SPECTRUM_SIZES,
     OUTPUT_FORMATS,
     ConfigError,
     DelaySchedule,
@@ -154,10 +155,9 @@ def _spectrum_flags(args) -> dict:
     """``{}``, ``{"omega": ...}`` or ``{"energies": ...}`` from the spectrum flags."""
     if args.omega is not None and args.energies is not None:
         raise UsageError("give either --omega or --energies, not both")
-    if args.omega is not None:
-        return {"omega": _floats(args.omega, 4, "--omega")}
-    if args.energies is not None:
-        return {"energies": _floats(args.energies, 16, "--energies")}
+    for key, size in _SPECTRUM_SIZES.items():
+        if getattr(args, key) is not None:
+            return {key: _floats(getattr(args, key), size, f"--{key}")}
     return {}
 
 
@@ -205,7 +205,7 @@ def cmd_shor_demo(args) -> int:
     report = shor.run_experiment(config)
     # The JSON run report; it validates against the shipped run_report schema.
     result = {
-        "config": {_CONFIG_FIELDS.get(k, k): v for k, v in _config_settings(config).items()},
+        "config": {_CONFIG_KEYS[k][1]: v for k, v in _config_settings(config).items()},
         "final_state": statevec.state_to_json(report.final_state),
         "x_distribution": {str(x): p for x, p in sorted(report.x_distribution.items())},
         "residuals": dataclasses.asdict(report.residuals),

@@ -43,6 +43,21 @@ def _parse_mode(value) -> PipelineMode:
         raise ConfigError(f"unknown mode {value!r} (choices: {choices})") from None
 
 
+def _coerce(config, name: str, kind):
+    """Set ``name`` to ``kind`` of its value; ConfigError if that fails or drops a fraction."""
+    value = getattr(config, name)
+    try:
+        coerced = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        coerced = None
+    # A string such as "7" is parsed; an integer field takes 4.0 but refuses 2.7.
+    if coerced is None or kind is int and not isinstance(value, str) and coerced != value:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    object.__setattr__(config, name, coerced)
+    return coerced
+
+
 @dataclass(frozen=True)
 class DelaySchedule:
     """Idle times before the function evaluation (tau1) and before the DFT (tau2)."""
@@ -52,10 +67,9 @@ class DelaySchedule:
 
     def __post_init__(self):
         for name in ("tau1", "tau2"):
-            value = float(getattr(self, name))
+            value = _coerce(self, name, float)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-            object.__setattr__(self, name, value)
 
     @property
     def total(self) -> float:
@@ -74,21 +88,6 @@ def _check_tolerance(tol):
 _DEFAULT_SPECTRUM = statevec._energy_table(statevec.DEFAULT_OMEGAS)
 
 OUTPUT_FORMATS = ("json", "csv")
-
-
-def _coerce(config, name: str, kind):
-    """Set ``name`` to ``kind`` of its value; ConfigError if that fails or drops a fraction."""
-    value = getattr(config, name)
-    try:
-        coerced = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        coerced = None
-    # A string such as "7" is parsed; an integer field takes 4.0 but refuses 2.7.
-    if coerced is None or kind is int and not isinstance(value, str) and coerced != value:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    object.__setattr__(config, name, coerced)
-    return coerced
 
 
 @dataclass(frozen=True)
@@ -128,35 +127,36 @@ def float_list(text) -> tuple[float, ...]:
     return tuple(float(part) for part in str(text).split(","))
 
 
-#: Keys accepted in config files, with parsers. "omega" takes the four qubit
-#: frequencies, "energies" a full 16-entry table; giving both is an error.
+#: Each settings key: its parser for config-file text, and its name as an
+#: ExperimentConfig field and in a run report (tau1, tau2: the delays' fields).
 _CONFIG_KEYS = {
-    "mode": str,
-    "tau1": float,
-    "tau2": float,
-    "omega": float_list,
-    "energies": float_list,
-    "seed": int,
-    "retry_cap": int,
-    "tolerance": float,
-    "format": str,
+    "mode": (str, "mode"),
+    "tau1": (float, "tau1"),
+    "tau2": (float, "tau2"),
+    "omega": (float_list, "spectrum"),
+    "energies": (float_list, "spectrum"),
+    "seed": (int, "seed"),
+    "retry_cap": (int, "retry_cap"),
+    "tolerance": (float, "tolerance"),
+    "format": (str, "output_format"),
 }
 
-#: Settings keys that map one to one onto ExperimentConfig fields.
-_CONFIG_FIELDS = {
-    "mode": "mode",
-    "omega": "spectrum",
-    "energies": "spectrum",
-    "seed": "seed",
-    "retry_cap": "retry_cap",
-    "tolerance": "tolerance",
-    "format": "output_format",
-}
+#: How many values each spectrum key holds: four qubit frequencies, or a full table.
+_SPECTRUM_SIZES = {"omega": 4, "energies": 16}
 
 
-def _check_one_spectrum(settings: dict) -> None:
+def _check_spectrum_keys(settings: dict) -> None:
+    """At most one spectrum key, holding its own count of values."""
     if "omega" in settings and "energies" in settings:
         raise ConfigError("give either 'omega' or 'energies', not both")
+    for key, size in _SPECTRUM_SIZES.items():
+        if key in settings:
+            try:  # only a sequence is counted; a string or a scalar keeps the spectrum rule's text
+                count = size if isinstance(settings[key], str) else len(settings[key])
+            except TypeError:
+                continue
+            if count != size:
+                raise ConfigError(f"{key} needs {size} values, got {count}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -180,10 +180,10 @@ def parse_config_text(text: str) -> dict:
         if key in settings:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            settings[key] = _CONFIG_KEYS[key](value)
+            settings[key] = _CONFIG_KEYS[key][0](value)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
-    _check_one_spectrum(settings)
+    _check_spectrum_keys(settings)
     return settings
 
 
@@ -192,9 +192,9 @@ def build_config(settings: dict) -> ExperimentConfig:
     unknown = set(settings) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown settings: {sorted(unknown)}")
-    _check_one_spectrum(settings)
-    kwargs = {_CONFIG_FIELDS[key]: value for key, value in settings.items() if key in _CONFIG_FIELDS}
-    kwargs["delays"] = DelaySchedule(settings.get("tau1", 0.0), settings.get("tau2", 0.0))
+    _check_spectrum_keys(settings)
+    kwargs = {_CONFIG_KEYS[key][1]: value for key, value in settings.items()}
+    kwargs["delays"] = DelaySchedule(kwargs.pop("tau1", 0.0), kwargs.pop("tau2", 0.0))
     return ExperimentConfig(**kwargs)
 
 

@@ -223,6 +223,14 @@ def test_config_file_bad_value_reports_line(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_config_file_spectrum_key_holds_its_own_count(capsys, tmp_path):
+    # Four energies are not four qubit frequencies: the file is refused, not read as omega.
+    path = tmp_path / "energies.cfg"
+    path.write_text("energies = 1, 2, 3, 4\n")
+    code, out, err = run_cli(capsys, "shor-demo", "--config", str(path))
+    assert (code, out, err) == (1, "", "config error: energies needs 16 values, got 4\n")
+
+
 def test_missing_config_file_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "shor-demo", "--config", str(tmp_path / "nope.cfg"))
     assert code == 1

@@ -78,6 +78,9 @@ def test_parse_config_text_values_and_comments():
         ("tau1 = sluggish", "line 1"),
         ("tau1 = 1\ntau1 = 2", "line 2"),
         ("omega = 1,2,3,4\nenergies = " + ",".join(["0"] * 16), "not both"),
+        ("omega = 1, 2", "omega needs 4 values, got 2"),
+        ("energies = 1, 2, 3, 4", "energies needs 16 values, got 4"),
+        ("omega = " + ", ".join(["1.5"] * 16), "omega needs 4 values, got 16"),
     ],
 )
 def test_parse_config_text_errors(text, fragment):
@@ -98,6 +101,12 @@ def test_text_round_trip_rebuilds_identical_config():
     )
     rebuilt = build_config(parse_config_text(config_to_text(config)))
     assert rebuilt == config
+    # A full table that no four frequencies give, written back as 16 energies.
+    table = tuple(0.25 * k * k for k in range(16))
+    for mode in PipelineMode:
+        config = ExperimentConfig(mode=mode, delays=DelaySchedule(1.5, 0.5), spectrum=table, seed=3)
+        rebuilt = build_config(parse_config_text(config_to_text(config)))
+        assert rebuilt == config
 
 
 def test_build_config_rejects_unknown_keys():
@@ -118,6 +127,10 @@ def test_build_config_rejects_unknown_keys():
         ({"tolerance": "x"}, "tolerance must be a number, got 'x'"),
         ({"tolerance": math.nan}, "tolerance must be finite, got nan"),
         ({"energies": [1j] * 16}, "float() argument must be a string or a real number, not 'complex'"),
+        ({"energies": [1.0] * 4}, "energies needs 16 values, got 4"),
+        ({"omega": [1.0] * 16}, "omega needs 4 values, got 16"),
+        ({"tau1": "x"}, "tau1 must be a number, got 'x'"),
+        ({"tau2": None}, "tau2 must be a number, got None"),
     ],
 )
 def test_bad_field_values_are_config_errors_naming_the_field(settings, message):

@@ -58,6 +58,10 @@ def test_zero_duration_is_identity():
         out = evolve(system, pulse, init)
         assert out.c_k == pytest.approx(init.c_k, abs=1e-15)
         assert out.c_p == pytest.approx(init.c_p, abs=1e-15)
+    # With C_p != 0 a coherent pulse goes to the integrator, which takes no step at all.
+    mixed = TwoLevelState(0.6, 0.8j)
+    pulse = PulseSpec(mode=PulseMode.COHERENT, rabi=2.0, t0=0.5, tau=0.0, phase=0.3)
+    assert pulses.evolve_coherent(system, pulse, mixed) == mixed
 
 
 def test_coherent_reference_case():

@@ -240,6 +240,10 @@ def test_equal_up_to_global_phase_distinct_states():
     assert not statevec.equal_up_to_global_phase(
         statevec.init_ground(), np.full(16, 0.25, dtype=complex), 1e-12
     )
+    # With no nonzero overlap there is no phase to read; the plain difference decides.
+    zero = np.zeros(16, dtype=complex)
+    assert statevec.equal_up_to_global_phase(zero, zero, 1e-12)
+    assert not statevec.equal_up_to_global_phase(zero, statevec.init_ground(), 1e-12)
 
 
 def test_equal_up_to_global_phase_random_rotation():
@@ -261,6 +265,10 @@ def test_wrap_phase_interval():
     assert statevec.wrap_phase(-np.pi) == pytest.approx(np.pi, abs=1e-15)
     assert statevec.wrap_phase(1.5 * np.pi) == pytest.approx(-0.5 * np.pi, abs=1e-12)
     assert statevec.wrap_phase(-4.0 * np.pi) == pytest.approx(0.0, abs=1e-12)
+    # A list or an int goes through numpy and wraps like the floats it holds.
+    assert statevec.wrap_phase([3 * np.pi, -np.pi]).tolist() == [
+        statevec.wrap_phase(3 * np.pi), statevec.wrap_phase(-np.pi)]
+    assert statevec.wrap_phase(7) == statevec.wrap_phase(7.0)
     values = statevec.wrap_phase(np.linspace(-30.0, 30.0, 401))
     assert np.all(values > -np.pi) and np.all(values <= np.pi)
     # Wrapping is a shift by multiples of 2 pi.

@@ -330,7 +330,7 @@ def test_delay_schedule_validation():
 
     assert DelaySchedule(0.0, 0.0).total == 0.0
     assert DelaySchedule(1.5, 2.5).total == 4.0
-    for bad in ((-1.0, 0.0), (0.0, -0.5), (math.nan, 0.0), (math.inf, 1.0)):
+    for bad in ((-1.0, 0.0), (0.0, -0.5), (math.nan, 0.0), (math.inf, 1.0), ("x", 0.0), (None, 0.0)):
         with pytest.raises(ConfigError):
             DelaySchedule(*bad)
 

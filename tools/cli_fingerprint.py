@@ -40,6 +40,8 @@ FILES = {
     "badmode.cfg": "mode = sideways\n",
     "emptyfmt.cfg": "format = \n",
     "shortomega.cfg": "omega = 1, 2\n",
+    "energies4.cfg": "energies = 1, 2, 3, 4\n",
+    "omega16.cfg": f"omega = {E16}\n",
 }
 
 SW = ["--tau1-start", "0", "--tau1-stop", TWO_PI, "--tau1-count", "3",
@@ -128,6 +130,8 @@ BASE = [
     ("err-badmode-cfg", ["shor-demo", "--config", "badmode.cfg"]),
     ("err-emptyfmt-cfg", ["shor-demo", "--config", "emptyfmt.cfg"]),
     ("err-shortomega-cfg", ["shor-demo", "--config", "shortomega.cfg"]),
+    ("err-energies4-cfg", ["shor-demo", "--config", "energies4.cfg"]),
+    ("err-omega16-cfg", ["shor-demo", "--config", "omega16.cfg"]),
     ("err-retry0", ["shor-demo", "--retry-cap", "0"]),
     ("err-tol0", ["shor-demo", "--tolerance", "0"]),
     ("err-badmode", ["shor-demo", "--mode", "sideways"]),
