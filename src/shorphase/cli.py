@@ -326,6 +326,16 @@ def _sweep_chunk(config: ExperimentConfig, tau1: np.ndarray, tau2: np.ndarray) -
     return (*deltas.T, satisfied, *marginals.T, np.hypot(amp11.real, amp11.imag))
 
 
+def _cells(column: np.ndarray) -> list:
+    """A column's cells as json.dumps (and so _csv_cell) writes them, each distinct value once."""
+    # Distinct by bit pattern, so -0.0 and 0.0 keep their own text.
+    bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    if bits.size == column.size:
+        return json.dumps(column.tolist())[1:-1].split(", ")
+    text = json.dumps(bits.view(column.dtype).tolist())[1:-1].split(", ")
+    return list(map(text.__getitem__, inverse.tolist()))
+
+
 def _sweep_rows(args, spectrum: np.ndarray):
     """The grid's rows as cell text, row-major with tau1 outer."""
     taus1 = np.linspace(args.tau1_start, args.tau1_stop, args.tau1_count)
@@ -335,22 +345,19 @@ def _sweep_rows(args, spectrum: np.ndarray):
     DelaySchedule(float(taus1[0]), float(taus2[0]))
     config = ExperimentConfig(mode=args.mode or PipelineMode.FREE_EVOLUTION,
                               spectrum=tuple(spectrum), tolerance=args.tolerance)
+    tau1, tau2 = np.repeat(taus1, taus2.size), np.tile(taus2, taus1.size)
     chunks = []
-    points = taus1.size * taus2.size
-    for k in np.split(np.arange(points), range(_SWEEP_CHUNK, points, _SWEEP_CHUNK)):
-        tau1, tau2 = taus1[k // taus2.size], taus2[k % taus2.size]
+    for start in range(0, tau1.size, _SWEEP_CHUNK):
+        t1, t2 = tau1[start:start + _SWEEP_CHUNK], tau2[start:start + _SWEEP_CHUNK]
         try:
-            chunks.append(_sweep_chunk(config, tau1, tau2))
+            chunks.append(_sweep_chunk(config, t1, t2))
         except ValueError:
             # Each check names its own first bad row; redo the chunk point by
             # point so that the first failing point decides the message.
-            for i in range(k.size):
-                _sweep_chunk(config, tau1[i:i + 1], tau2[i:i + 1])
+            for i in range(t1.size):
+                _sweep_chunk(config, t1[i:i + 1], t2[i:i + 1])
             raise
-    # Each column, and each distinct tau, is formatted once by the JSON encoder, as _csv_cell would.
-    tau1, tau2, *results = (json.dumps(c.tolist())[1:-1].split(", ")
-                            for c in (taus1, taus2, *map(np.concatenate, zip(*chunks))))
-    return zip([cell for cell in tau1 for _ in tau2], tau2 * len(tau1), *results)
+    return zip(*map(_cells, (tau1, tau2, *map(np.concatenate, zip(*chunks)))))
 
 
 def cmd_sweep(args) -> int:

@@ -11,6 +11,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import statevec
 
 
@@ -44,10 +46,12 @@ def _parse_mode(value) -> PipelineMode:
 
 
 def _coerce(config, name: str, kind):
-    """Set ``name`` to ``kind`` of its value; ConfigError if that fails or drops a fraction."""
+    """Set ``name`` to ``kind`` of its value; ConfigError on a bool, a failure or a lost fraction."""
     value = getattr(config, name)
+    if type(value) is kind:
+        return value
     try:
-        coerced = kind(value)
+        coerced = None if isinstance(value, (bool, np.bool_)) else kind(value)
     except (TypeError, ValueError, OverflowError):
         coerced = None
     # A string such as "7" is parsed; an integer field takes 4.0 but refuses 2.7.
@@ -155,8 +159,10 @@ def _check_spectrum_keys(settings: dict) -> None:
                 count = size if isinstance(settings[key], str) else len(settings[key])
             except TypeError:
                 continue
-            if count != size:
-                raise ConfigError(f"{key} needs {size} values, got {count}")
+            if count != size:  # an array of more than one dimension is named by its shape
+                shape = getattr(settings[key], "shape", ())
+                got = f"shape {shape}" if len(shape) > 1 else count
+                raise ConfigError(f"{key} needs {size} values, got {got}")
 
 
 def parse_config_text(text: str) -> dict:

@@ -632,15 +632,26 @@ def test_sweep_across_chunks_matches_branch_oracle(capsys, tmp_path, mode, suffi
         assert row["satisfied"] == (abs(row["delta1"]) <= 1e-9 and abs(row["delta2"]) <= 1e-9)
 
 
-@pytest.mark.parametrize("n1, n2", [(3, cli._SWEEP_CHUNK * 2 // 3 + 7), (1, 1)])
-def test_sweep_files_are_what_the_stdlib_encoders_write(capsys, tmp_path, n1, n2):
+SWEEP_TABLE = ["--energies", ",".join(map(repr, SWEEP_ENERGIES))]
+SWEEP_N2 = cli._SWEEP_CHUNK * 2 // 3 + 7
+
+
+@pytest.mark.parametrize("n1, n2, tau2_stop, flags", [
+    pytest.param(3, SWEEP_N2, "9", SWEEP_TABLE, id=f"3-{SWEEP_N2}"),
+    pytest.param(1, 1, "9", SWEEP_TABLE, id="1-1"),
+    # Cells that repeat heavily, across a full chunk and a partial one: on a
+    # square grid the additive residuals depend on tau1 + tau2 alone, and the
+    # natural-phase moduli depend on neither delay.
+    pytest.param(50, 50, "7.5", [], id="additive-square-50-50"),
+    pytest.param(50, 50, "9", [*SWEEP_TABLE, "--mode", "natural-phase"], id="natural-phase-50-50"),
+])
+def test_sweep_files_are_what_the_stdlib_encoders_write(capsys, tmp_path, n1, n2, tau2_stop, flags):
     # The sweep writer fills one row template per format. Its files must be
     # exactly json.dumps(rows, indent=2) and csv.writer over the same rows,
     # with the cell rule of the single-report CSV path, across two full chunks
     # and a partial one, and for a single point.
     grid = ["--tau1-start", "0", "--tau1-stop", "7.5", "--tau1-count", str(n1),
-            "--tau2-start", "0", "--tau2-stop", "9", "--tau2-count", str(n2),
-            "--energies", ",".join(map(repr, SWEEP_ENERGIES))]
+            "--tau2-start", "0", "--tau2-stop", tau2_stop, "--tau2-count", str(n2), *flags]
     paths = {fmt: tmp_path / f"grid.{fmt}" for fmt in ("json", "csv")}
     for path in paths.values():
         assert run_cli(capsys, "sweep", *grid, "--out", str(path))[0] == 0

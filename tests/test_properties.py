@@ -207,3 +207,22 @@ def test_python_float_spectrum_rule_is_numpys_bit_for_bit(omegas):
                   ExperimentConfig(spectrum=tuple(omegas)).spectrum):
         assert [e.hex() for e in table] == expected
         assert all(type(e) is float for e in table)
+
+
+#: Cell values that repeat when drawn from: signed zeros, infinities, two NaN
+#: payloads, the extremes of float64 and values the encoder writes in exponent form.
+CELL_POOL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308, 1e16, 2.5e-7,
+             0.1, -3.25, np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]]
+COLUMNS = st.one_of(
+    st.lists(st.sampled_from(CELL_POOL), min_size=1, max_size=80).map(np.array),
+    st.lists(st.booleans(), min_size=1, max_size=80).map(np.array),
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=80, unique=True).map(np.array),
+)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@hypothesis.given(COLUMNS)
+def test_sweep_cells_are_the_encoders_text_of_each_value(column):
+    # Each distinct bit pattern is formatted once and gathered back; the cells
+    # must be what encoding the whole column gives, -0.0 and NaN included.
+    assert cli._cells(column) == json.dumps(column.tolist())[1:-1].split(", ")
