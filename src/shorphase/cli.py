@@ -25,7 +25,7 @@ import numpy as np
 
 from . import pulses, shor, statevec
 from .config import (
-    _CONFIG_KEYS,
+    _FIELDS,
     _SPECTRUM_SIZES,
     OUTPUT_FORMATS,
     ConfigError,
@@ -205,7 +205,7 @@ def cmd_shor_demo(args) -> int:
     report = shor.run_experiment(config)
     # The JSON run report; it validates against the shipped run_report schema.
     result = {
-        "config": {_CONFIG_KEYS[k][1]: v for k, v in _config_settings(config).items()},
+        "config": {_FIELDS[k]: v for k, v in _config_settings(config).items()},
         "final_state": statevec.state_to_json(report.final_state),
         "x_distribution": {str(x): p for x, p in sorted(report.x_distribution.items())},
         "residuals": dataclasses.asdict(report.residuals),

@@ -35,9 +35,14 @@ class PipelineMode(enum.Enum):
     NATURAL_PHASE = "natural-phase"
 
 
+#: Each mode, by itself and by its value.
+_MODES = {key: mode for mode in PipelineMode for key in (mode, mode.value)}
+
+
 def _parse_mode(value) -> PipelineMode:
-    if isinstance(value, PipelineMode):
-        return value
+    mode = _MODES.get(value) if isinstance(value, (str, PipelineMode)) else None
+    if mode is not None:
+        return mode
     try:
         return PipelineMode(str(value))
     except ValueError:
@@ -62,6 +67,13 @@ def _coerce(config, name: str, kind):
     return coerced
 
 
+def _check_delay(delays, name: str) -> None:
+    """Coerce the delay ``name`` to a float; ConfigError unless it is finite and non-negative."""
+    value = _coerce(delays, name, float)
+    if not 0.0 <= value < math.inf:  # a NaN fails the comparison too
+        raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class DelaySchedule:
     """Idle times before the function evaluation (tau1) and before the DFT (tau2)."""
@@ -70,10 +82,8 @@ class DelaySchedule:
     tau2: float
 
     def __post_init__(self):
-        for name in ("tau1", "tau2"):
-            value = _coerce(self, name, float)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+        _check_delay(self, "tau1")
+        _check_delay(self, "tau2")
 
     @property
     def total(self) -> float:
@@ -89,6 +99,7 @@ def _check_tolerance(tol):
 
 
 #: Python floats, as every config's spectrum: ``config_to_text`` writes their reprs.
+#: Checked here once; a config that keeps this immutable tuple is not checked again.
 _DEFAULT_SPECTRUM = statevec._energy_table(statevec.DEFAULT_OMEGAS)
 
 OUTPUT_FORMATS = ("json", "csv")
@@ -108,10 +119,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", _parse_mode(self.mode))
-        try:
-            object.__setattr__(self, "spectrum", statevec._energy_table(self.spectrum))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
+        if self.spectrum is not _DEFAULT_SPECTRUM:
+            try:
+                object.__setattr__(self, "spectrum", statevec._energy_table(self.spectrum))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(exc)) from None
         _coerce(self, "seed", int)
         if _coerce(self, "retry_cap", int) < 1:
             raise ConfigError(f"retry_cap must be at least 1, got {self.retry_cap}")
@@ -145,24 +157,29 @@ _CONFIG_KEYS = {
     "format": (str, "output_format"),
 }
 
+#: Each settings key's ExperimentConfig field.
+_FIELDS = {key: name for key, (_, name) in _CONFIG_KEYS.items()}
+
 #: How many values each spectrum key holds: four qubit frequencies, or a full table.
 _SPECTRUM_SIZES = {"omega": 4, "energies": 16}
 
 
 def _check_spectrum_keys(settings: dict) -> None:
-    """At most one spectrum key, holding its own count of values."""
+    """At most one spectrum key, holding its own count of values in one dimension."""
     if "omega" in settings and "energies" in settings:
         raise ConfigError("give either 'omega' or 'energies', not both")
     for key, size in _SPECTRUM_SIZES.items():
         if key in settings:
+            value = settings[key]
+            shape = getattr(value, "shape", ())
+            if len(shape) > 1:  # whatever its outer length
+                raise ConfigError(f"{key} needs {size} values, got shape {shape}")
             try:  # only a sequence is counted; a string or a scalar keeps the spectrum rule's text
-                count = size if isinstance(settings[key], str) else len(settings[key])
+                count = size if isinstance(value, str) else len(value)
             except TypeError:
                 continue
-            if count != size:  # an array of more than one dimension is named by its shape
-                shape = getattr(settings[key], "shape", ())
-                got = f"shape {shape}" if len(shape) > 1 else count
-                raise ConfigError(f"{key} needs {size} values, got {got}")
+            if count != size:
+                raise ConfigError(f"{key} needs {size} values, got {count}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -195,11 +212,10 @@ def parse_config_text(text: str) -> dict:
 
 def build_config(settings: dict) -> ExperimentConfig:
     """Turn a raw settings dict (from file and/or flags) into a validated config."""
-    unknown = set(settings) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown settings: {sorted(unknown)}")
+    if not settings.keys() <= _FIELDS.keys():
+        raise ConfigError(f"unknown settings: {sorted(settings.keys() - _FIELDS.keys())}")
     _check_spectrum_keys(settings)
-    kwargs = {_CONFIG_KEYS[key][1]: value for key, value in settings.items()}
+    kwargs = {_FIELDS[key]: value for key, value in settings.items()}
     kwargs["delays"] = DelaySchedule(kwargs.pop("tau1", 0.0), kwargs.pop("tau2", 0.0))
     return ExperimentConfig(**kwargs)
 

@@ -92,15 +92,23 @@ def _residuals(spectrum, tau1, tau2, tol):
     return delta, (abs(delta) <= bound).all(axis=-1)
 
 
-def _evaluate(spectrum, mode: PipelineMode, tau1, tau2, tol):
+def _evaluate(spectrum, mode, tau1, tau2, tol):
     """Final states, x marginals, residuals (delta1, delta2) and the verdict.
 
     ``spectrum`` is one 16-entry array for every row or a (B, 16) array; the
-    delays and the checked ``tol`` are scalars or (B,) arrays. Each check
-    names its first bad row. A run fails as the pipeline would: a bad phase,
-    the y=0 leak or the norm is reported before a bad residual.
+    delays and the checked ``tol`` are scalars or (B,) arrays. ``mode`` is one
+    ``PipelineMode`` for every row or, for a batch of (B, 16) spectra and (B,)
+    delays that holds both modes, a (B,) bool mask of its natural-phase rows;
+    only the final states are computed per mode. Each check names its first
+    bad row. A run fails as the pipeline would: a bad phase, the y=0 leak or
+    the norm is reported before a bad residual.
     """
-    states = transforms._final_states(spectrum, mode, tau1, tau2)
+    if isinstance(mode, PipelineMode):
+        states = transforms._final_states(spectrum, mode, tau1, tau2)
+    else:
+        states = np.empty(spectrum.shape, dtype=complex)
+        for rows, each in ((~mode, PipelineMode.FREE_EVOLUTION), (mode, PipelineMode.NATURAL_PHASE)):
+            states[rows] = transforms._final_states(spectrum[rows], each, tau1[rows], tau2[rows])
     marginals = statevec._x_marginals(states)
     return states, marginals, *_residuals(spectrum, tau1, tau2, tol)
 
@@ -224,20 +232,22 @@ def _finish(config: ExperimentConfig, state, distribution, residuals, measured_x
 def _evaluate_configs(configs: list) -> list[tuple]:
     """(final state, x distribution, residuals, measured x, retries) of each config, as one batch.
 
-    The configs share a mode; each brings its own spectrum, delays, tolerance,
-    seed and retry cap.
+    Each config brings its own mode, spectrum, delays, tolerance, seed and
+    retry cap.
     """
-    spectra, tau1, tau2, tols, seeds, caps = zip(*[
-        (c.spectrum, c.delays.tau1, c.delays.tau2, c.tolerance, c.seed, c.retry_cap)
+    modes, spectra, tau1, tau2, tols, seeds, caps = zip(*[
+        (c.mode, c.spectrum, c.delays.tau1, c.delays.tau2, c.tolerance, c.seed, c.retry_cap)
         for c in configs
     ])
+    natural = [m is PipelineMode.NATURAL_PHASE for m in modes]
+    mode = np.array(natural) if any(natural) and not all(natural) else modes[0]
     states, marginals, deltas, satisfied = _evaluate(
-        np.array(spectra), configs[0].mode, np.array(tau1), np.array(tau2), np.array(tols)
+        np.array(spectra), mode, np.array(tau1), np.array(tau2), np.array(tols)
     )
     x, retries = _seeded_draws(seeds, caps, marginals)
     rows = zip(states, marginals.tolist(), deltas.tolist(), satisfied.tolist(), x, retries)
-    return [(state, dict(enumerate(dist)), ConditionResidual(*delta, verdict), xi, retry)
-            for state, dist, delta, verdict, xi, retry in rows]
+    return [(state, dict(enumerate(dist)), ConditionResidual(d1, d2, verdict), xi, retry)
+            for state, dist, (d1, d2), verdict, xi, retry in rows]
 
 
 def _guarded(step, config, *args) -> RunReport:
@@ -262,32 +272,26 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 def sweep(configs) -> list[RunReport]:
     """One report per config, in order; failures are recorded, never raised.
 
-    Configs are grouped by mode and computed in batches of ``_SWEEP_CHUNK``,
-    seeded draws included; only the report is built per config. A batch that
-    raises is redone config by config through ``run_experiment``, so each
-    failing config gets its own error. A warning raised as an exception (a ``-W error`` filter)
-    is neither redone nor recorded: it reaches the caller.
+    Each run of up to ``_SWEEP_CHUNK`` configs, in input order and of either
+    mode, is computed as one batch with one set-up of the seeded draws; only
+    the report is built per config. A batch that raises is redone config by
+    config through ``run_experiment``, so each failing config gets its own
+    error. A warning raised as an exception (a ``-W error`` filter) is neither
+    redone nor recorded: it reaches the caller.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("sweep needs at least one config")
-    by_mode: dict = {}
-    for i, config in enumerate(configs):
-        # A non-config has no mode; its batch fails and it gets its own error.
-        by_mode.setdefault(getattr(config, "mode", None), []).append(i)
-    reports = [None] * len(configs)
-    for indices in by_mode.values():
-        for start in range(0, len(indices), _SWEEP_CHUNK):
-            chunk = indices[start:start + _SWEEP_CHUNK]
-            batch = [configs[i] for i in chunk]
-            try:
-                outputs = _evaluate_configs(batch)
-            except Warning:
-                raise
-            except Exception:
-                done = [_guarded(run_experiment, config) for config in batch]
-            else:
-                done = [_guarded(_finish, config, *out) for config, out in zip(batch, outputs)]
-            for i, report in zip(chunk, done):
-                reports[i] = report
+    reports = []
+    for start in range(0, len(configs), _SWEEP_CHUNK):
+        batch = configs[start:start + _SWEEP_CHUNK]
+        try:
+            outputs = _evaluate_configs(batch)
+        except Warning:
+            raise
+        except Exception:
+            # A non-config has no fields to batch; it gets its own error here.
+            reports += [_guarded(run_experiment, config) for config in batch]
+        else:
+            reports += [_guarded(_finish, config, *out) for config, out in zip(batch, outputs)]
     return reports

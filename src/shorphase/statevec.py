@@ -64,11 +64,13 @@ def _energy_table(values, omegas_only: bool = False) -> tuple[float, ...]:
     if shape == (4,) or omegas_only:
         if shape != (4,) or not all(map(math.isfinite, values)):
             raise ValueError("expected four finite qubit frequencies")
-        # Each qubit's frequency times its excitation bit, 0.0 or 1.0, then the four
-        # terms of |m,n> (bits x0, x1, y0, y1) added left to right.
-        x0, x1, y0, y1 = [(w * 0.0, w * 1.0) for w in values]
-        return tuple([x0[m & 1] + x1[m >> 1] + y0[n & 1] + y1[n >> 1]
-                      for m in range(NUM_X) for n in range(NUM_Y)])
+        # Each qubit's frequency times its excitation bit, 0.0 or 1.0 (x01: qubit x0
+        # excited), then the four terms of |m,n> (bits x0, x1, y0, y1) added left to
+        # right: the x sum of each m = x0 + 2*x1 first, then each n = y0 + 2*y1's terms.
+        (x00, x01), (x10, x11), (y00, y01), (y10, y11) = [(w * 0.0, w * 1.0) for w in values]
+        ys = ((y00, y10), (y01, y10), (y00, y11), (y01, y11))
+        return tuple([x + y0 + y1 for x in (x00 + x10, x01 + x10, x00 + x11, x01 + x11)
+                      for y0, y1 in ys])
     if shape != (DIM,):
         raise ValueError(f"spectrum must have 4 or 16 entries, got shape {shape}")
     if not all(map(math.isfinite, values)):

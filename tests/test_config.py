@@ -42,9 +42,39 @@ def test_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig(output_format="yaml")
     with pytest.raises(ConfigError):
-        ExperimentConfig(mode="sideways")
-    with pytest.raises(ConfigError):
         ExperimentConfig(spectrum=(1.0, 2.0))
+
+
+class Label(str):
+    """A str subclass: parsed by its text, like a plain str."""
+
+
+CHOICES = "(choices: free-evolution, natural-phase)"
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (PipelineMode.FREE_EVOLUTION, PipelineMode.FREE_EVOLUTION),
+        (PipelineMode.NATURAL_PHASE, PipelineMode.NATURAL_PHASE),
+        ("free-evolution", PipelineMode.FREE_EVOLUTION),
+        ("natural-phase", PipelineMode.NATURAL_PHASE),
+        (Label("natural-phase"), PipelineMode.NATURAL_PHASE),
+        ("sideways", f"unknown mode 'sideways' {CHOICES}"),
+        ("FREE-EVOLUTION", f"unknown mode 'FREE-EVOLUTION' {CHOICES}"),
+        ("natural-phase ", f"unknown mode 'natural-phase ' {CHOICES}"),
+        (Label("sideways"), f"unknown mode 'sideways' {CHOICES}"),
+        (None, f"unknown mode None {CHOICES}"),
+        (0, f"unknown mode 0 {CHOICES}"),
+    ],
+)
+def test_mode_is_a_member_or_its_exact_value(value, expected):
+    if isinstance(expected, PipelineMode):
+        assert ExperimentConfig(mode=value).mode is expected
+    else:
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(mode=value)
+        assert str(err.value) == expected
 
 
 def test_parse_config_text_values_and_comments():
@@ -139,6 +169,8 @@ def test_build_config_rejects_unknown_keys():
         ({"tolerance": np.True_}, f"tolerance must be a number, got {np.True_!r}"),
         ({"energies": np.zeros((4, 4))}, "energies needs 16 values, got shape (4, 4)"),
         ({"energies": np.zeros(4)}, "energies needs 16 values, got 4"),
+        ({"omega": np.zeros((4, 4))}, "omega needs 4 values, got shape (4, 4)"),
+        ({"energies": np.zeros((16, 1))}, "energies needs 16 values, got shape (16, 1)"),
     ],
 )
 def test_bad_field_values_are_config_errors_naming_the_field(settings, message):

@@ -226,3 +226,58 @@ def test_sweep_cells_are_the_encoders_text_of_each_value(column):
     # Each distinct bit pattern is formatted once and gathered back; the cells
     # must be what encoding the whole column gives, -0.0 and NaN included.
     assert cli._cells(column) == json.dumps(column.tolist())[1:-1].split(", ")
+
+
+#: Settings of one batch row: either mode, the default, an additive or a full
+#: spectrum, delays, and seeds and retry caps that reach several draw rounds.
+SWEEP_CONFIGS = st.builds(
+    ExperimentConfig,
+    mode=st.sampled_from(PipelineMode),
+    delays=st.builds(DelaySchedule, DELAYS, DELAYS),
+    spectrum=st.one_of(st.just(statevec.DEFAULT_OMEGAS), st.tuples(*[st.floats(0.5, 6.0)] * 4),
+                       ENERGIES.map(tuple)),
+    seed=st.integers(0, 2**32 - 1),
+    retry_cap=st.integers(1, 16),
+)
+
+#: E*tau1 overflows: the batch raises and is redone config by config.
+OVERFLOWING = DelaySchedule(1e10, 0.0), (1e300,) * 16
+
+
+def report_bits(report) -> tuple:
+    """Every computed field of a report, floats by float.hex."""
+    if report.error is not None:
+        return (report.error,)
+    state = report.final_state
+    return (tuple(map(float.hex, state.real.tolist() + state.imag.tolist())),
+            tuple(map(float.hex, report.x_distribution.values())),
+            report.residuals.delta1.hex(), report.residuals.delta2.hex(), report.residuals.satisfied,
+            report.measured_x, report.retries)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@hypothesis.given(st.integers(1, 70).flatmap(lambda n: st.lists(SWEEP_CONFIGS, min_size=n, max_size=n)),
+                  st.sampled_from([False, False, True]), st.sampled_from(PipelineMode),
+                  st.randoms(use_true_random=False))
+def test_a_configs_report_does_not_depend_on_its_batch(configs, failing, failing_mode, rng):
+    # The same bits whether a config shares its batch with the other mode, in
+    # any order, or sits in a batch of its own mode only; batches of 32 rows
+    # or more draw from the batched stream, smaller ones from numpy's.
+    if failing:
+        delays, spectrum = OVERFLOWING
+        configs.insert(rng.randrange(len(configs) + 1),
+                       ExperimentConfig(mode=failing_mode, delays=delays, spectrum=spectrum))
+    expected = list(map(report_bits, shor.sweep(configs)))
+    if failing:
+        assert [bits[0] for bits in expected if len(bits) == 1] == [
+            "ValueError: state is not normalized: non-finite phase E*dt for E = 1e+300, dt = 10000000000.0"]
+    order = list(range(len(configs)))
+    rng.shuffle(order)
+    shuffled = shor.sweep([configs[i] for i in order])
+    assert [report_bits(shuffled[order.index(i)]) for i in range(len(configs))] == expected
+    by_mode = [None] * len(configs)
+    for mode in PipelineMode:
+        rows = [i for i, config in enumerate(configs) if config.mode is mode]
+        for i, report in zip(rows, shor.sweep([configs[i] for i in rows]) if rows else ()):
+            by_mode[i] = report_bits(report)
+    assert by_mode == expected
