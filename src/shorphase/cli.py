@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -366,12 +367,22 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"--{name.replace('_', '-')} must be at least 1")
     rows = _sweep_rows(args, _spectrum_table(args))
     fmt = _format(args, {".json": "json", ".csv": "csv"}.get(Path(args.out).suffix.lower()))
-    # The text of csv.writer (no sweep cell needs quoting) or of json.dumps(rows, indent=2).
-    row = "  {\n" + ",\n".join(f"    {json.dumps(c)}: %s" for c in SWEEP_CSV_COLUMNS) + "\n  }"
-    lines = ([",".join(SWEEP_CSV_COLUMNS), *map(",".join, rows)] if fmt == "csv"
-             else ["[", ",\n".join(map(row.__mod__, rows)), "]"])
-    Path(args.out).write_text("\n".join(lines) + "\n")
-    print(f"wrote {args.tau1_count * args.tau2_count} rows to {args.out}", file=sys.stderr)
+    # The text of csv.writer (no sweep cell needs quoting) or of json.dumps(rows, indent=2):
+    # head, each row's text joined by sep, tail.
+    if fmt == "csv":
+        head, text, sep, tail = ",".join(SWEEP_CSV_COLUMNS) + "\n", ",".join, "\n", "\n"
+    else:
+        row = "  {\n" + ",\n".join(f"    {json.dumps(c)}: %s" for c in SWEEP_CSV_COLUMNS) + "\n  }"
+        head, text, sep, tail = "[\n", row.__mod__, ",\n", "\n]\n"
+    # Every cell is ready before the file is opened, so a failing point leaves
+    # no file; the text is made one block of rows at a time.
+    count = args.tau1_count * args.tau2_count
+    with Path(args.out).open("w") as file:
+        for start in range(0, count, _SWEEP_CHUNK):
+            block = sep.join(map(text, itertools.islice(rows, _SWEEP_CHUNK)))
+            file.write((sep if start else head) + block)
+        file.write(tail)
+    print(f"wrote {count} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -164,6 +164,25 @@ _FIELDS = {key: name for key, (_, name) in _CONFIG_KEYS.items()}
 _SPECTRUM_SIZES = {"omega": 4, "energies": 16}
 
 
+def _nested_shape(value) -> tuple | None:
+    """The shape numpy gives lists and tuples nested in each other, or None if they are ragged.
+
+    Found level by level without numpy, whose handling of a ragged nesting
+    depends on its version; an array inside is read as its nested lists.
+    """
+    shape, level = [], [value]
+    while level and all(isinstance(item, (list, tuple)) for item in level):
+        lengths = set(map(len, level))
+        if len(lengths) > 1:
+            return None
+        shape.append(lengths.pop())
+        level = [item.tolist() if isinstance(item, np.ndarray) else item
+                 for items in level for item in items]
+    if any(isinstance(item, (list, tuple)) for item in level):
+        return None  # a list beside a scalar
+    return tuple(shape)
+
+
 def _check_spectrum_keys(settings: dict) -> None:
     """At most one spectrum key, holding its own count of values in one dimension."""
     if "omega" in settings and "energies" in settings:
@@ -214,10 +233,21 @@ def build_config(settings: dict) -> ExperimentConfig:
     """Turn a raw settings dict (from file and/or flags) into a validated config."""
     if not settings.keys() <= _FIELDS.keys():
         raise ConfigError(f"unknown settings: {sorted(settings.keys() - _FIELDS.keys())}")
-    _check_spectrum_keys(settings)
-    kwargs = {_FIELDS[key]: value for key, value in settings.items()}
-    kwargs["delays"] = DelaySchedule(kwargs.pop("tau1", 0.0), kwargs.pop("tau2", 0.0))
-    return ExperimentConfig(**kwargs)
+    try:
+        _check_spectrum_keys(settings)
+        kwargs = {_FIELDS[key]: value for key, value in settings.items()}
+        kwargs["delays"] = DelaySchedule(kwargs.pop("tau1", 0.0), kwargs.pop("tau2", 0.0))
+        return ExperimentConfig(**kwargs)
+    except ConfigError:
+        # A nested spectrum list fails the count or the spectrum rule; name its
+        # shape instead, whatever failed first. Valid settings never come here.
+        for key, size in _SPECTRUM_SIZES.items():
+            if type(settings.get(key)) in (list, tuple):
+                shape = _nested_shape(settings[key])
+                if shape is None or len(shape) > 1:
+                    got = "ragged nested lists" if shape is None else f"shape {shape}"
+                    raise ConfigError(f"{key} needs {size} values, got {got}") from None
+        raise
 
 
 def _config_settings(config: ExperimentConfig) -> dict:

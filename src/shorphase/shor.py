@@ -31,8 +31,9 @@ _TRIVIAL = (1, 4)
 #: The x distribution of an undisturbed run.
 IDEAL_X_DISTRIBUTION = {0: 0.5, 1: 0.0, 2: 0.5, 3: 0.0}
 
-#: Configs that ``sweep`` computes as one batch, and grid points of the CLI
-#: sweep; bounds the array memory of one batch.
+#: Configs that ``sweep`` computes as one batch, grid points of the CLI sweep
+#: computed as one batch, and rows of the sweep file made and written as one
+#: block of text; bounds the array memory of a batch and the text of a block.
 _SWEEP_CHUNK = 2048
 
 #: float64 cannot resolve a residual a*tau1 + b*tau2 more finely than a few

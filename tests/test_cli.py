@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -639,6 +640,7 @@ SWEEP_N2 = cli._SWEEP_CHUNK * 2 // 3 + 7
 @pytest.mark.parametrize("n1, n2, tau2_stop, flags", [
     pytest.param(3, SWEEP_N2, "9", SWEEP_TABLE, id=f"3-{SWEEP_N2}"),
     pytest.param(1, 1, "9", SWEEP_TABLE, id="1-1"),
+    pytest.param(2, cli._SWEEP_CHUNK, "9", SWEEP_TABLE, id="two-whole-chunks"),
     # Cells that repeat heavily, across a full chunk and a partial one: on a
     # square grid the additive residuals depend on tau1 + tau2 alone, and the
     # natural-phase moduli depend on neither delay.
@@ -649,7 +651,7 @@ def test_sweep_files_are_what_the_stdlib_encoders_write(capsys, tmp_path, n1, n2
     # The sweep writer fills one row template per format. Its files must be
     # exactly json.dumps(rows, indent=2) and csv.writer over the same rows,
     # with the cell rule of the single-report CSV path, across two full chunks
-    # and a partial one, and for a single point.
+    # and a partial one, across exactly two, and for a single point.
     grid = ["--tau1-start", "0", "--tau1-stop", "7.5", "--tau1-count", str(n1),
             "--tau2-start", "0", "--tau2-stop", tau2_stop, "--tau2-count", str(n2), *flags]
     paths = {fmt: tmp_path / f"grid.{fmt}" for fmt in ("json", "csv")}
@@ -665,6 +667,31 @@ def test_sweep_files_are_what_the_stdlib_encoders_write(capsys, tmp_path, n1, n2
         [columns, *([cli._csv_cell(row[c]) for c in columns] for row in rows)]
     )
     assert first_differing_line(paths["csv"].read_text(), buf.getvalue()) is None
+
+
+def test_sweep_memory_stays_below_twice_its_file(capsys, tmp_path):
+    # The writer holds the numeric columns and each column's distinct cell
+    # texts, and makes the file's text one block of rows at a time. Traced
+    # peak of this 128 x 128 natural-phase JSON sweep, whose file is 5.2 MB:
+    # 19.1 MB when the whole text was built before writing, 6.3 MB in blocks.
+    out_path = tmp_path / "grid.json"
+    argv = ["sweep", "--tau1-start", "0", "--tau1-stop", "10", "--tau1-count", "128",
+            "--tau2-start", "0", "--tau2-stop", "10", "--tau2-count", "128",
+            *SWEEP_TABLE, "--mode", "natural-phase", "--out", str(out_path)]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 2 * out_path.stat().st_size
 
 
 def first_differing_line(text: str, expected: str):
@@ -714,6 +741,25 @@ def test_sweep_first_failing_point_decides(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: state is not normalized: non-finite phase")
     assert err.endswith("dt = 10000000.0\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_failing_sweep_leaves_an_existing_file_as_it_was(capsys, tmp_path, suffix):
+    # E*tau1 = 20 * 1e307 overflows on the last tau1 only, so the first failing
+    # point is row 4500, past two full chunks. Every point is computed before
+    # the file is opened, so the file it would replace keeps its bytes.
+    assert 2 * cli._SWEEP_CHUNK < 3 * 1500
+    out_path = tmp_path / f"grid.{suffix}"
+    out_path.write_bytes(b"earlier results\n")
+    code, out, err = run_cli(
+        capsys, "sweep", "--tau1-start", "0", "--tau1-stop", "1e307", "--tau1-count", "4",
+        "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "1500",
+        "--omega", "0,0,0,20", "--out", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: state is not normalized: non-finite phase E*dt for E = 20.0, dt = 1e+307\n"
+    assert out_path.read_bytes() == b"earlier results\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -171,6 +171,12 @@ def test_build_config_rejects_unknown_keys():
         ({"energies": np.zeros(4)}, "energies needs 16 values, got 4"),
         ({"omega": np.zeros((4, 4))}, "omega needs 4 values, got shape (4, 4)"),
         ({"energies": np.zeros((16, 1))}, "energies needs 16 values, got shape (16, 1)"),
+        ({"omega": [[0.0] * 4] * 4}, "omega needs 4 values, got shape (4, 4)"),
+        ({"omega": [[1.0, 2.0], [3.0, 4.0]]}, "omega needs 4 values, got shape (2, 2)"),
+        ({"energies": [[1.0] * 16]}, "energies needs 16 values, got shape (1, 16)"),
+        ({"omega": [[1.0, 2.0], [3.0]]}, "omega needs 4 values, got ragged nested lists"),
+        ({"omega": [[1.0], [2.0], [3.0], 4.0]}, "omega needs 4 values, got ragged nested lists"),
+        ({"omega": [[0.0] * 4] * 4, "seed": "x"}, "omega needs 4 values, got shape (4, 4)"),
     ],
 )
 def test_bad_field_values_are_config_errors_naming_the_field(settings, message):
