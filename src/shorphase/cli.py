@@ -73,7 +73,7 @@ _CSV_PATHS = {
 }
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flags or unusable inputs; maps to exit code 1."""
 
 
@@ -162,9 +162,9 @@ def _spectrum_flags(args) -> dict:
     return {}
 
 
-def _spectrum_table(args) -> np.ndarray:
+def _spectrum_table(args) -> tuple[float, ...]:
     flags = _spectrum_flags(args)
-    return statevec.make_spectrum(flags.get("omega", flags.get("energies", statevec.DEFAULT_OMEGAS)))
+    return statevec._energy_table(flags.get("omega", flags.get("energies", statevec.DEFAULT_OMEGAS)))
 
 
 def _emit(text: str) -> None:
@@ -337,15 +337,10 @@ def _cells(column: np.ndarray) -> list:
     return list(map(text.__getitem__, inverse.tolist()))
 
 
-def _sweep_rows(args, spectrum: np.ndarray):
-    """The grid's rows as cell text, row-major with tau1 outer."""
+def _sweep_rows(args, config: ExperimentConfig):
+    """The grid's rows as cell text, row-major with tau1 outer, for the shared ``config``."""
     taus1 = np.linspace(args.tau1_start, args.tau1_stop, args.tau1_count)
     taus2 = np.linspace(args.tau2_start, args.tau2_stop, args.tau2_count)
-    # The first point's delays are checked before the shared settings, the
-    # order in which a point-by-point walk of the grid meets them.
-    DelaySchedule(float(taus1[0]), float(taus2[0]))
-    config = ExperimentConfig(mode=args.mode or PipelineMode.FREE_EVOLUTION,
-                              spectrum=tuple(spectrum), tolerance=args.tolerance)
     tau1, tau2 = np.repeat(taus1, taus2.size), np.tile(taus2, taus1.size)
     chunks = []
     for start in range(0, tau1.size, _SWEEP_CHUNK):
@@ -365,8 +360,12 @@ def cmd_sweep(args) -> int:
     for name in ("tau1_count", "tau2_count"):
         if getattr(args, name) < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be at least 1")
-    rows = _sweep_rows(args, _spectrum_table(args))
+    # Every setting is checked before any point is computed: the spectrum, the
+    # format, then the tolerance; a failing point is met last.
+    spectrum = _spectrum_table(args)
     fmt = _format(args, {".json": "json", ".csv": "csv"}.get(Path(args.out).suffix.lower()))
+    rows = _sweep_rows(args, ExperimentConfig(mode=args.mode or PipelineMode.FREE_EVOLUTION,
+                                              spectrum=spectrum, tolerance=args.tolerance))
     # The text of csv.writer (no sweep cell needs quoting) or of json.dumps(rows, indent=2):
     # head, each row's text joined by sep, tail.
     if fmt == "csv":
@@ -458,9 +457,6 @@ def main(argv=None) -> int:
     try:
         args = _main_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -41,13 +41,10 @@ _MODES = {key: mode for mode in PipelineMode for key in (mode, mode.value)}
 
 def _parse_mode(value) -> PipelineMode:
     mode = _MODES.get(value) if isinstance(value, (str, PipelineMode)) else None
-    if mode is not None:
-        return mode
-    try:
-        return PipelineMode(str(value))
-    except ValueError:
+    if mode is None:
         choices = ", ".join(m.value for m in PipelineMode)
-        raise ConfigError(f"unknown mode {value!r} (choices: {choices})") from None
+        raise ConfigError(f"unknown mode {value!r} (choices: {choices})")
+    return mode
 
 
 def _coerce(config, name: str, kind):

@@ -214,7 +214,7 @@ def _seeded_draws(seeds, caps, marginals):
 
 def _finish(config: ExperimentConfig, state, distribution, residuals, measured_x,
             retries) -> RunReport:
-    """The per-config step after the batch: the report, with the period and factor of its x.
+    """The per-config step of a batch: the report, with the period and factor of its x.
 
     A run that measured x = 0 on every draw up to ``config.retry_cap`` retries
     gives up with a diagnostic, and so does an x that does not divide the
@@ -230,11 +230,11 @@ def _finish(config: ExperimentConfig, state, distribution, residuals, measured_x
                      retries=retries, diagnostic=diagnostic)
 
 
-def _evaluate_configs(configs: list) -> list[tuple]:
-    """(final state, x distribution, residuals, measured x, retries) of each config, as one batch.
+def _run_batch(configs: list) -> list[RunReport]:
+    """The report of each config, computed as one batch; the first error is raised.
 
     Each config brings its own mode, spectrum, delays, tolerance, seed and
-    retry cap.
+    retry cap; only ``_finish`` runs per config.
     """
     modes, spectra, tau1, tau2, tols, seeds, caps = zip(*[
         (c.mode, c.spectrum, c.delays.tau1, c.delays.tau2, c.tolerance, c.seed, c.retry_cap)
@@ -246,15 +246,15 @@ def _evaluate_configs(configs: list) -> list[tuple]:
         np.array(spectra), mode, np.array(tau1), np.array(tau2), np.array(tols)
     )
     x, retries = _seeded_draws(seeds, caps, marginals)
-    rows = zip(states, marginals.tolist(), deltas.tolist(), satisfied.tolist(), x, retries)
-    return [(state, dict(enumerate(dist)), ConditionResidual(d1, d2, verdict), xi, retry)
-            for state, dist, (d1, d2), verdict, xi, retry in rows]
+    rows = zip(configs, states, marginals.tolist(), deltas.tolist(), satisfied.tolist(), x, retries)
+    return [_finish(config, state, dict(enumerate(dist)), ConditionResidual(d1, d2, verdict), xi, retry)
+            for config, state, dist, (d1, d2), verdict, xi, retry in rows]
 
 
-def _guarded(step, config, *args) -> RunReport:
-    """``step(config, *args)``, or a report carrying the error it raised; a Warning propagates."""
+def _guarded(config) -> RunReport:
+    """``run_experiment(config)``, or a report carrying the error it raised; a Warning propagates."""
     try:
-        return step(config, *args)
+        return run_experiment(config)
     except Warning:
         raise
     except Exception as exc:
@@ -264,10 +264,10 @@ def _guarded(step, config, *args) -> RunReport:
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run the pipeline, measure, and post-process; deterministic given the seed.
 
-    The one-config batch of ``sweep``: the same batched core, then
-    ``_finish``. Errors are raised.
+    The one-config batch of ``sweep``, through the same batched core. Errors
+    are raised.
     """
-    return _finish(config, *_evaluate_configs([config])[0])
+    return _run_batch([config])[0]
 
 
 def sweep(configs) -> list[RunReport]:
@@ -287,12 +287,10 @@ def sweep(configs) -> list[RunReport]:
     for start in range(0, len(configs), _SWEEP_CHUNK):
         batch = configs[start:start + _SWEEP_CHUNK]
         try:
-            outputs = _evaluate_configs(batch)
+            reports += _run_batch(batch)
         except Warning:
             raise
         except Exception:
             # A non-config has no fields to batch; it gets its own error here.
-            reports += [_guarded(run_experiment, config) for config in batch]
-        else:
-            reports += [_guarded(_finish, config, *out) for config, out in zip(batch, outputs)]
+            reports += [_guarded(config) for config in batch]
     return reports

@@ -105,11 +105,11 @@ def amplitude_of(state: np.ndarray, m: int, n: int) -> complex:
 
 
 def _after_spread(state: np.ndarray, spectrum: np.ndarray, tau1, tau2) -> np.ndarray:
-    # Idle tau1 -> function evaluation -> idle tau2 -> DFT. Every caller passes
-    # checked delays, so each idle is free_evolve's product without its checks.
-    state = np.multiply(state, statevec._phase_factors(spectrum, tau1))
+    # Idle tau1 -> function evaluation -> idle tau2 -> DFT. Each idle is looked up
+    # on the module, so a wrapper set on statevec.free_evolve sees every call.
+    state = statevec.free_evolve(state, spectrum, tau1)
     state = apply_mod_exp(state)
-    state = np.multiply(state, statevec._phase_factors(spectrum, tau2))
+    state = statevec.free_evolve(state, spectrum, tau2)
     return dft_x(state)
 
 
@@ -158,9 +158,6 @@ def run_history_chain(spectrum, delays: DelaySchedule, x_initial: int) -> np.nda
     free-evolution run, and summing the branch states over x_initial = 0..3
     reproduces it exactly.
     """
-    spectrum = np.asarray(spectrum, dtype=float)
-    if spectrum.shape[-1:] != (DIM,) or spectrum.ndim > 2:  # free_evolve's rule
-        raise ValueError("state and spectrum must both have 16 entries")
     state = np.zeros(DIM, dtype=complex)
     state[basis_index(x_initial, 0)] = 0.5
     return _after_spread(state, spectrum, delays.tau1, delays.tau2)

@@ -18,7 +18,7 @@ import pytest
 import shorphase
 from conftest import expected_final_state, idx
 from shorphase import cli, shor, statevec
-from shorphase.config import DelaySchedule
+from shorphase.config import DelaySchedule, build_config
 
 
 def run_cli(capsys, *argv):
@@ -717,6 +717,9 @@ def first_differing_line(text: str, expected: str):
      "error: --omega must be comma-separated numbers, got '1,2,x,4'\n"),
     (["--tau1-start", "0", "--tau1-stop", "1", "--tau1-count", "3", "--omega", "1,2,3"],
      "error: --omega needs 4 values, got 3\n"),
+    # A setting is checked before any point, so the tolerance wins over the bad first point.
+    (["--tau1-start", "-1", "--tau1-stop", "1", "--tau1-count", "3", "--tolerance", "0"],
+     "config error: tolerance must be positive, got 0.0\n"),
 ])
 def test_sweep_error_text(capsys, tmp_path, flags, message):
     out_path = tmp_path / "grid.csv"
@@ -724,6 +727,38 @@ def test_sweep_error_text(capsys, tmp_path, flags, message):
                              "--tau2-count", "2", "--out", str(out_path))
     assert (code, out, err) == (1, "", message)
     assert not out_path.exists()
+
+
+def test_sweep_refuses_a_bad_format_before_any_point(capsys, monkeypatch, tmp_path):
+    # The format is a setting: it is refused without computing the grid.
+    def no_points(*args):
+        raise AssertionError("a grid point was computed")
+
+    monkeypatch.setattr(shor, "_evaluate", no_points)
+    monkeypatch.setenv(cli.FORMAT_ENV_VAR, "yaml")
+    out_path = tmp_path / "grid.dat"
+    code, out, err = run_cli(capsys, *sweep_args(out_path, n1=512, n2=512))
+    assert (code, out) == (1, "")
+    assert err == "error: SHORPHASE_FORMAT must be one of ('json', 'csv'), got 'yaml'\n"
+    assert not out_path.exists()
+
+
+def test_batched_idles_go_through_free_evolve(capsys, monkeypatch, tmp_path):
+    # Each idle of a batch is one call of the public function, so a wrapper set
+    # on the module sees it; a natural-phase batch only adds terminal phases.
+    calls = []
+    real = statevec.free_evolve
+    monkeypatch.setattr(statevec, "free_evolve", lambda *args: calls.append(args) or real(*args))
+
+    def batch(mode):
+        return [build_config({"mode": mode, "tau1": 0.1 * i, "tau2": 0.2, "seed": i}) for i in range(40)]
+
+    assert [r.error for r in shor.sweep(batch("free-evolution"))] == [None] * 40
+    assert len(calls) == 2
+    assert [r.error for r in shor.sweep(batch("natural-phase"))] == [None] * 40
+    assert len(calls) == 2
+    assert run_cli(capsys, *sweep_args(tmp_path / "grid.csv", n1=16, n2=16))[0] == 0
+    assert len(calls) == 4
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,6 +1,7 @@
 """Config validation and the key = value file format."""
 
 import math
+from pathlib import PurePosixPath
 
 import numpy as np
 import pytest
@@ -66,6 +67,7 @@ CHOICES = "(choices: free-evolution, natural-phase)"
         (Label("sideways"), f"unknown mode 'sideways' {CHOICES}"),
         (None, f"unknown mode None {CHOICES}"),
         (0, f"unknown mode 0 {CHOICES}"),
+        (PurePosixPath("natural-phase"), f"unknown mode PurePosixPath('natural-phase') {CHOICES}"),
     ],
 )
 def test_mode_is_a_member_or_its_exact_value(value, expected):
