@@ -181,15 +181,12 @@ def _nested_shape(value) -> tuple | None:
 
 
 def _check_spectrum_keys(settings: dict) -> None:
-    """At most one spectrum key, holding its own count of values in one dimension."""
+    """At most one spectrum key, holding its own count of values; ``build_config`` names shapes."""
     if "omega" in settings and "energies" in settings:
         raise ConfigError("give either 'omega' or 'energies', not both")
     for key, size in _SPECTRUM_SIZES.items():
         if key in settings:
             value = settings[key]
-            shape = getattr(value, "shape", ())
-            if len(shape) > 1:  # whatever its outer length
-                raise ConfigError(f"{key} needs {size} values, got shape {shape}")
             try:  # only a sequence is counted; a string or a scalar keeps the spectrum rule's text
                 count = size if isinstance(value, str) else len(value)
             except TypeError:
@@ -236,11 +233,13 @@ def build_config(settings: dict) -> ExperimentConfig:
         kwargs["delays"] = DelaySchedule(kwargs.pop("tau1", 0.0), kwargs.pop("tau2", 0.0))
         return ExperimentConfig(**kwargs)
     except ConfigError:
-        # A nested spectrum list fails the count or the spectrum rule; name its
-        # shape instead, whatever failed first. Valid settings never come here.
+        # A nested spectrum list, or an array read as its lists, fails the count or the
+        # spectrum rule; name its shape instead, whatever failed first. Valid ones never come here.
         for key, size in _SPECTRUM_SIZES.items():
-            if type(settings.get(key)) in (list, tuple):
-                shape = _nested_shape(settings[key])
+            value = settings.get(key)
+            value = value.tolist() if isinstance(value, np.ndarray) else value
+            if type(value) in (list, tuple):
+                shape = _nested_shape(value)
                 if shape is None or len(shape) > 1:
                     got = "ragged nested lists" if shape is None else f"shape {shape}"
                     raise ConfigError(f"{key} needs {size} values, got {got}") from None

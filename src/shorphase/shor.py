@@ -83,12 +83,8 @@ def _residuals(spectrum, tau1, tau2, tol):
         raw = a_t1 + b_t2
         # |a*tau1| + |b*tau2| may overflow where raw does not; then nothing is resolved.
         bound = np.maximum(np.asarray(tol)[..., None], _RESOLUTION * (abs(a_t1) + abs(b_t2)))
-    i = statevec._first(~np.isfinite(raw))  # raw[..., r]: its row is i // 2
-    if i is not None:
-        raise ValueError(
-            "interference residuals are not finite: E*tau overflows at "
-            f"tau1 = {np.ravel(tau1)[i // 2]}, tau2 = {np.ravel(tau2)[i // 2]}"
-        )
+    statevec._refuse_first(~np.isfinite(raw), "interference residuals are not finite: E*tau "
+                           "overflows at tau1 = {tau1}, tau2 = {tau2}", tau1=t1, tau2=t2)
     delta = wrap_phase(raw)
     return delta, (abs(delta) <= bound).all(axis=-1)
 

@@ -98,22 +98,29 @@ def _first(bad) -> int | None:
     return int(np.flatnonzero(bad)[0]) if np.count_nonzero(bad) else None
 
 
+def _refuse_first(bad, message: str, **values) -> None:
+    """Raise ValueError(message) at the first True entry of the mask ``bad``, if it has one.
+
+    ``message`` is a ``str.format`` template; each of ``values`` is broadcast
+    against ``bad`` and read at that entry, so the message names the bad row.
+    """
+    i = _first(bad)
+    if i is not None:
+        at = {key: np.broadcast_to(value, np.shape(bad)).flat[i] for key, value in values.items()}
+        raise ValueError(message.format(**at))
+
+
 def _phase_factors(energies: np.ndarray, dt) -> np.ndarray:
     """exp(-i*E*dt) for a 16-entry or (B, 16) spectrum and a scalar or (B,) dt, one per row.
 
     A product E*dt that overflows is refused here, naming the first bad row,
     instead of letting numpy warn and turn the state into NaN.
     """
+    delay = np.asarray(dt)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = -1j * energies * np.asarray(dt)[..., None]
-    i = _first(~np.isfinite(phase))
-    if i is not None:
-        e = np.broadcast_to(energies, phase.shape).flat[i]
-        delay = np.broadcast_to(np.asarray(dt)[..., None], phase.shape).flat[i]
-        raise ValueError(
-            "state is not normalized: non-finite phase E*dt for "
-            f"E = {e}, dt = {delay}"
-        )
+        phase = -1j * energies * delay
+    _refuse_first(~np.isfinite(phase), "state is not normalized: non-finite phase E*dt for "
+                  "E = {e}, dt = {dt}", e=energies, dt=delay)
     return np.exp(phase)
 
 
@@ -129,9 +136,8 @@ def free_evolve(state: np.ndarray, spectrum: np.ndarray, dt) -> np.ndarray:
     dt = np.asarray(dt, dtype=float)
     if dt.ndim > 1:
         raise ValueError(f"dt must be a scalar or a (B,) array, got shape {dt.shape}")
-    i = _first(~((dt >= 0.0) & np.isfinite(dt)))
-    if i is not None:
-        raise ValueError(f"dt must be finite and non-negative, got {np.ravel(dt)[i]}")
+    _refuse_first(~((dt >= 0.0) & np.isfinite(dt)), "dt must be finite and non-negative, got {dt}",
+                  dt=dt)
     amps = np.asarray(state, dtype=complex)
     energies = np.asarray(spectrum, dtype=float)
     if amps.shape[-1:] != (DIM,) or energies.shape[-1:] != (DIM,) or energies.ndim > 2:
@@ -148,10 +154,10 @@ def _x_marginals(states: np.ndarray) -> np.ndarray:
     """
     weights = np.abs(states.reshape(states.shape[:-1] + (NUM_X, NUM_Y))) ** 2
     total = weights.sum(axis=(-2, -1))
+    norms = np.sqrt(total)
     # Written so that a NaN total fails the check too.
-    i = _first(~(abs(np.sqrt(total) - 1.0) <= NORM_TOL))
-    if i is not None:
-        raise ValueError(f"state is not normalized: norm = {np.sqrt(np.ravel(total)[i])}")
+    _refuse_first(~(abs(norms - 1.0) <= NORM_TOL), "state is not normalized: norm = {norm}",
+                  norm=norms)
     return weights.sum(axis=-1) / total[..., None]
 
 

@@ -82,13 +82,9 @@ def apply_mod_exp(state: np.ndarray) -> np.ndarray:
     A (B, 16) batch is checked row by row and the first leaking row is named.
     """
     amps = np.asarray(state, dtype=complex)
-    leak = np.abs(_grid(amps)[..., 1:])
-    if leak.max() > _Y0_LEAK_TOL:
-        rows = leak.reshape(-1, NUM_X * (NUM_Y - 1)).max(axis=1)
-        raise ValueError(
-            f"amplitude outside the y=0 slice (max modulus {rows[rows > _Y0_LEAK_TOL][0]:.3e}); "
-            "the function evaluation is defined only there"
-        )
+    leak = np.abs(_grid(amps)[..., 1:]).max(axis=(-2, -1))
+    statevec._refuse_first(leak > _Y0_LEAK_TOL, "amplitude outside the y=0 slice (max modulus "
+                           "{leak:.3e}); the function evaluation is defined only there", leak=leak)
     out = np.zeros(amps.shape, dtype=complex)
     out[..., _BRANCHES[:, 1]] = amps[..., _BRANCHES[:, 0]]
     return out

@@ -179,12 +179,38 @@ def test_build_config_rejects_unknown_keys():
         ({"omega": [[1.0, 2.0], [3.0]]}, "omega needs 4 values, got ragged nested lists"),
         ({"omega": [[1.0], [2.0], [3.0], 4.0]}, "omega needs 4 values, got ragged nested lists"),
         ({"omega": [[0.0] * 4] * 4, "seed": "x"}, "omega needs 4 values, got shape (4, 4)"),
+        ({"omega": 5.0}, "spectrum must have 4 or 16 entries, got shape ()"),
     ],
 )
 def test_bad_field_values_are_config_errors_naming_the_field(settings, message):
     with pytest.raises(ConfigError) as err:
         build_config(settings)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"omega": np.zeros((4, 4))}, "omega needs 4 values, got shape (4, 4)"),
+        ({"energies": np.zeros((16, 1))}, "energies needs 16 values, got shape (16, 1)"),
+        ({"energies": np.zeros((2, 8, 1))}, "energies needs 16 values, got shape (2, 8, 1)"),
+        ({"omega": np.zeros((1, 4)), "seed": "x"}, "omega needs 4 values, got shape (1, 4)"),
+        ({"omega": np.zeros(3)}, "omega needs 4 values, got 3"),
+        ({"omega": np.zeros((0, 4))}, "omega needs 4 values, got 0"),
+        ({"omega": np.array(5.0)}, "spectrum must have 4 or 16 entries, got shape ()"),
+        ({"omega": np.zeros((4, 4)), "energies": [0.0] * 16}, "omega needs 4 values, got shape (4, 4)"),
+        ({"omega": np.array([[1.0], [2.0, 3.0]], dtype=object)},
+         "omega needs 4 values, got ragged nested lists"),
+    ],
+)
+def test_an_array_spectrum_setting_reads_as_its_nested_lists(settings, message):
+    # One reader names every spectrum shape: an array is refused as its tolist() is.
+    as_lists = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in settings.items()}
+    for each in (settings, as_lists):
+        with pytest.raises(ConfigError) as err:
+            build_config(each)
+        assert str(err.value) == message
 
 
 def test_a_one_dimensional_array_of_sixteen_energies_is_a_table():

@@ -153,6 +153,22 @@ def test_sweep_lets_a_raised_warning_through(monkeypatch, step):
             shor.sweep([config_for()])
 
 
+def test_a_warning_raised_in_the_redo_reaches_the_caller(monkeypatch):
+    # The batch fails on the first config, so it is redone config by config;
+    # the second config's warning is then raised inside the per-config guard.
+    real = shor._finish
+
+    def warn_then_finish(*args):
+        warnings.warn("patched warning", RuntimeWarning)
+        return real(*args)
+
+    monkeypatch.setattr(shor, "_finish", warn_then_finish)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="^patched warning$"):
+            shor.sweep([config_for(residual_overflow_spectrum(), tau1=0.5), config_for()])
+
+
 # ---------------------------------------------------------------------------
 # period extraction and factoring
 

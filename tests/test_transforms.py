@@ -131,6 +131,17 @@ def test_apply_mod_exp_names_first_leaking_row():
         transforms.apply_mod_exp(batch)
 
 
+def test_a_nan_row_does_not_hide_a_leaking_row():
+    # Each row is checked on its own maximum, so a NaN elsewhere in the batch
+    # cannot turn the whole batch's maximum into NaN and pass the check.
+    batch = np.zeros((2, 16), dtype=complex)
+    batch[0] = np.nan
+    batch[1, idx(0, 0)] = 1.0
+    batch[1, idx(3, 2)] = 0.5
+    with pytest.raises(ValueError, match=r"max modulus 5\.000e-01"):
+        transforms.apply_mod_exp(batch)
+
+
 # ---------------------------------------------------------------------------
 # dft_x
 
