@@ -79,8 +79,12 @@ class DelaySchedule:
     tau2: float
 
     def __post_init__(self):
-        _check_delay(self, "tau1")
-        _check_delay(self, "tau2")
+        tau1, tau2 = self.tau1, self.tau2
+        # Exact floats in range are kept as they are; anything else takes the full checks.
+        if not (type(tau1) is type(tau2) is float and 0.0 <= tau1 < math.inf
+                and 0.0 <= tau2 < math.inf):
+            _check_delay(self, "tau1")
+            _check_delay(self, "tau2")
 
     @property
     def total(self) -> float:
@@ -121,14 +125,18 @@ class ExperimentConfig:
                 object.__setattr__(self, "spectrum", statevec._energy_table(self.spectrum))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(str(exc)) from None
-        _coerce(self, "seed", int)
-        if _coerce(self, "retry_cap", int) < 1:
-            raise ConfigError(f"retry_cap must be at least 1, got {self.retry_cap}")
-        tolerance = _coerce(self, "tolerance", float)
-        try:
-            _check_tolerance(tolerance)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        cap, tolerance = self.retry_cap, self.tolerance
+        # Exact ints and floats in range are kept as they are; anything else takes the full checks.
+        if not (type(self.seed) is type(cap) is int and cap >= 1
+                and type(tolerance) is float and 0.0 < tolerance < math.inf):
+            _coerce(self, "seed", int)
+            if _coerce(self, "retry_cap", int) < 1:
+                raise ConfigError(f"retry_cap must be at least 1, got {self.retry_cap}")
+            tolerance = _coerce(self, "tolerance", float)
+            try:
+                _check_tolerance(tolerance)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(
                 f"output format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}"
@@ -182,6 +190,8 @@ def _nested_shape(value) -> tuple | None:
 
 def _check_spectrum_keys(settings: dict) -> None:
     """At most one spectrum key, holding its own count of values; ``build_config`` names shapes."""
+    if "omega" not in settings and "energies" not in settings:
+        return
     if "omega" in settings and "energies" in settings:
         raise ConfigError("give either 'omega' or 'energies', not both")
     for key, size in _SPECTRUM_SIZES.items():

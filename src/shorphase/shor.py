@@ -10,6 +10,7 @@ two energy-weighted delay combinations are integer multiples of 2*pi;
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -139,11 +140,9 @@ def factor_from_period(period: int) -> int | None:
     if period % 2 != 0:
         return None
     z = BASE ** (period // 2)
-    for candidate in (z - 1, z + 1):
-        g = math.gcd(candidate, D)
-        if g not in _TRIVIAL:
-            return g
-    return None
+    # z is odd, so one of z - 1 and z + 1 is 2 mod 4: if z - 1 gives 4, z + 1 gives 2.
+    g = math.gcd(z - 1, D)
+    return math.gcd(z + 1, D) if g in _TRIVIAL else g
 
 
 @dataclass(eq=False)
@@ -221,9 +220,8 @@ def _finish(config: ExperimentConfig, state, distribution, residuals, measured_x
     else:
         period = factor = None
         diagnostic = f"retry cap exhausted: {retries + 1} consecutive measurements returned x = 0"
-    return RunReport(config=config, final_state=state, x_distribution=distribution,
-                     residuals=residuals, measured_x=measured_x, period=period, factor=factor,
-                     retries=retries, diagnostic=diagnostic)
+    return RunReport(config, state, distribution, residuals, measured_x, period, factor, retries,
+                     diagnostic)
 
 
 def _run_batch(configs: list) -> list[RunReport]:
@@ -238,13 +236,16 @@ def _run_batch(configs: list) -> list[RunReport]:
     ])
     natural = [m is PipelineMode.NATURAL_PHASE for m in modes]
     mode = np.array(natural) if any(natural) and not all(natural) else modes[0]
+    # Each spectrum is a 16-tuple of floats; fromiter skips np.array's nested-shape search.
+    table = np.fromiter(itertools.chain.from_iterable(spectra), float, statevec.DIM * len(configs))
     states, marginals, deltas, satisfied = _evaluate(
-        np.array(spectra), mode, np.array(tau1), np.array(tau2), np.array(tols)
+        table.reshape(-1, statevec.DIM), mode, np.array(tau1), np.array(tau2), np.array(tols)
     )
     x, retries = _seeded_draws(seeds, caps, marginals)
     rows = zip(configs, states, marginals.tolist(), deltas.tolist(), satisfied.tolist(), x, retries)
-    return [_finish(config, state, dict(enumerate(dist)), ConditionResidual(d1, d2, verdict), xi, retry)
-            for config, state, dist, (d1, d2), verdict, xi, retry in rows]
+    return [_finish(config, state, {0: p0, 1: p1, 2: p2, 3: p3}, ConditionResidual(d1, d2, verdict),
+                    xi, retry)
+            for config, state, (p0, p1, p2, p3), (d1, d2), verdict, xi, retry in rows]
 
 
 def _guarded(config) -> RunReport:

@@ -53,24 +53,30 @@ def _energy_table(values, omegas_only: bool = False) -> tuple[float, ...]:
     """The one spectrum rule: 16 energies, as Python floats, from 4 qubit frequencies or 16.
 
     A list or tuple of Python floats needs no numpy; anything else goes
-    through numpy's float conversion first, with its own errors.
+    through numpy's float conversion first, with its own errors. A complex
+    array is refused as a list of complex numbers is.
     """
-    if type(values) in (tuple, list) and set(map(type, values)) == {float}:
+    if type(values) in (tuple, list) and all([type(v) is float for v in values]):
         shape = (len(values),)
     else:
+        if isinstance(values, np.ndarray) and values.dtype.kind == "c":
+            raise TypeError("float() argument must be a string or a real number, not 'complex'")
         values = np.asarray(values, dtype=float)
         shape = values.shape
         values = values.tolist() if values.ndim == 1 else ()
     if shape == (4,) or omegas_only:
         if shape != (4,) or not all(map(math.isfinite, values)):
             raise ValueError("expected four finite qubit frequencies")
-        # Each qubit's frequency times its excitation bit, 0.0 or 1.0 (x01: qubit x0
-        # excited), then the four terms of |m,n> (bits x0, x1, y0, y1) added left to
-        # right: the x sum of each m = x0 + 2*x1 first, then each n = y0 + 2*y1's terms.
-        (x00, x01), (x10, x11), (y00, y01), (y10, y11) = [(w * 0.0, w * 1.0) for w in values]
-        ys = ((y00, y10), (y01, y10), (y00, y11), (y01, y11))
-        return tuple([x + y0 + y1 for x in (x00 + x10, x01 + x10, x00 + x11, x01 + x11)
-                      for y0, y1 in ys])
+        # Each qubit's frequency times its excitation bit: w times 1.0 is w, and w times
+        # 0.0 keeps w's sign. The four terms of |m,n> (bits x0, x1, y0, y1) are added
+        # left to right: the x sum of each m = x0 + 2*x1 first, then n = y0 + 2*y1's terms.
+        x0, x1, y0, y1 = values
+        z0, z1, u0, u1 = x0 * 0.0, x1 * 0.0, y0 * 0.0, y1 * 0.0
+        m0, m1, m2, m3 = z0 + z1, x0 + z1, z0 + x1, x0 + x1
+        return (m0 + u0 + u1, m0 + y0 + u1, m0 + u0 + y1, m0 + y0 + y1,
+                m1 + u0 + u1, m1 + y0 + u1, m1 + u0 + y1, m1 + y0 + y1,
+                m2 + u0 + u1, m2 + y0 + u1, m2 + u0 + y1, m2 + y0 + y1,
+                m3 + u0 + u1, m3 + y0 + u1, m3 + u0 + y1, m3 + y0 + y1)
     if shape != (DIM,):
         raise ValueError(f"spectrum must have 4 or 16 entries, got shape {shape}")
     if not all(map(math.isfinite, values)):

@@ -1,5 +1,6 @@
 """Config validation and the key = value file format."""
 
+import dataclasses
 import math
 from pathlib import PurePosixPath
 
@@ -16,6 +17,7 @@ from shorphase.config import (
     config_to_text,
     parse_config_text,
 )
+from shorphase.shor import ConditionResidual
 
 
 def test_defaults():
@@ -180,9 +182,15 @@ def test_build_config_rejects_unknown_keys():
         ({"omega": [[1.0], [2.0], [3.0], 4.0]}, "omega needs 4 values, got ragged nested lists"),
         ({"omega": [[0.0] * 4] * 4, "seed": "x"}, "omega needs 4 values, got shape (4, 4)"),
         ({"omega": 5.0}, "spectrum must have 4 or 16 entries, got shape ()"),
+        ({"omega": np.array([1 + 2j, 1.0, 1.0, 1.0])},
+         "float() argument must be a string or a real number, not 'complex'"),
+        ({"energies": np.full(16, 1.0 + 0j)},
+         "float() argument must be a string or a real number, not 'complex'"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_bad_field_values_are_config_errors_naming_the_field(settings, message):
+    # Refused without a warning: a complex array is not first cast to its real parts.
     with pytest.raises(ConfigError) as err:
         build_config(settings)
     assert str(err.value) == message
@@ -231,3 +239,75 @@ def test_every_config_spectrum_holds_python_floats():
     for config in (ExperimentConfig(), build_config({"energies": statevec.additive_spectrum()})):
         assert all(type(e) is float for e in config.spectrum)
         assert "np." not in config_to_text(config)
+
+
+#: A study setting with every key but the format, and the config it builds.
+STUDY = {"mode": "natural-phase", "tau1": 1.5, "tau2": 0.25, "omega": (1.0, 2.0, 3.0, 4.0),
+         "seed": 7, "retry_cap": 3, "tolerance": 1e-6}
+STUDY_REPR = (
+    "ExperimentConfig(mode=<PipelineMode.NATURAL_PHASE: 'natural-phase'>, "
+    "delays=DelaySchedule(tau1=1.5, tau2=0.25), spectrum=(0.0, 3.0, 4.0, 7.0, 1.0, 4.0, 5.0, "
+    "8.0, 2.0, 5.0, 6.0, 9.0, 3.0, 6.0, 7.0, 10.0), seed=7, retry_cap=3, tolerance=1e-06, "
+    "output_format='json')"
+)
+
+
+@pytest.mark.parametrize("value, name", [
+    (build_config(STUDY), "seed"),
+    (DelaySchedule(1.5, 0.25), "tau1"),
+    (ConditionResidual(0.5, -0.25, False), "satisfied"),
+])
+def test_config_values_are_frozen(value, name):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, getattr(value, name))
+
+
+def test_a_config_is_a_dataclass_value():
+    config = build_config(STUDY)
+    assert repr(config) == STUDY_REPR
+    assert config == build_config(dict(STUDY)) and config != build_config({**STUDY, "seed": 8})
+    fields = tuple(getattr(config, f.name) for f in dataclasses.fields(config))
+    assert hash(config) == hash(fields)
+    assert dataclasses.replace(config) == config
+    assert dataclasses.replace(config, seed=8) == build_config({**STUDY, "seed": 8})
+    assert dataclasses.asdict(config) == {
+        "mode": PipelineMode.NATURAL_PHASE, "delays": {"tau1": 1.5, "tau2": 0.25},
+        "spectrum": config.spectrum, "seed": 7, "retry_cap": 3, "tolerance": 1e-6,
+        "output_format": "json",
+    }
+    with pytest.raises(ConfigError, match="retry_cap must be at least 1, got 0"):
+        dataclasses.replace(config, retry_cap=0)
+    residual = ConditionResidual(0.5, -0.25, False)
+    assert repr(residual) == "ConditionResidual(delta1=0.5, delta2=-0.25, satisfied=False)"
+    assert residual == ConditionResidual(0.5, -0.25, False)
+    assert hash(residual) == hash((0.5, -0.25, False))
+    assert dataclasses.asdict(residual) == {"delta1": 0.5, "delta2": -0.25, "satisfied": False}
+
+
+NUMPY_SCALARS = {"tau1": np.float64(1.5), "tau2": np.float64(0.25), "tolerance": np.float64(1e-6),
+                 "seed": np.int64(7), "retry_cap": np.int64(3)}
+
+
+@pytest.mark.parametrize("numpy_keys", [[key] for key in NUMPY_SCALARS] + [list(NUMPY_SCALARS)])
+def test_numpy_scalar_settings_come_out_as_python_numbers(numpy_keys):
+    config = build_config({**STUDY, **{key: NUMPY_SCALARS[key] for key in numpy_keys}})
+    values = (config.delays.tau1, config.delays.tau2, config.tolerance, config.seed,
+              config.retry_cap)
+    assert [type(value) for value in values] == [float, float, float, int, int]
+    assert config == build_config(STUDY)
+    assert "np." not in config_to_text(config)
+
+
+def test_build_config_runs_post_init_once_per_config(monkeypatch):
+    # bench/tracing.py counts configs by wrapping this method on the class.
+    seen = []
+    real = ExperimentConfig.__post_init__
+
+    def counted(self):
+        seen.append(self)
+        real(self)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    configs = [build_config(settings) for settings in
+               ({}, STUDY, {**STUDY, "tau1": np.float64(2.0)}, {"energies": [0.5] * 16})]
+    assert [id(config) for config in seen] == [id(config) for config in configs]

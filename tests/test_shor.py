@@ -198,6 +198,12 @@ def test_factor_from_period_values():
     assert shor.factor_from_period(3) is None
 
 
+def test_every_even_period_factors_to_two_and_every_odd_one_to_none():
+    # z = 3^(T/2) is odd, so one of z - 1 and z + 1 is 2 mod 4; both trials are reached.
+    for period in range(1, 65):
+        assert shor.factor_from_period(period) == (2 if period % 2 == 0 else None)
+
+
 def test_factor_of_ideal_measurement():
     assert shor.factor_from_period(shor.extract_period(2)) == 2
 

@@ -7,10 +7,13 @@ For each seed, every batch of ``bench/inputs.run_batch`` (the inputs of the
 trees see the same settings) goes through ``config.build_config`` and
 ``shor.sweep`` of each tree, each tree in its own child interpreter with its
 ``src`` on the path. The script prints, per field, how many reports differ in
-``measured_x``, ``retries``, ``period``, ``factor``, ``diagnostic``, ``error``
-or the ``satisfied`` verdict, and the largest absolute gap of the final
-states, x distributions and residuals. It exits 1 on any flipped field or on a
-gap above ``--tol``.
+``measured_x``, ``retries``, ``period``, ``factor``, ``diagnostic``, ``error``,
+the ``satisfied`` verdict or the ``config``, and the largest absolute gap of
+the final states, x distributions and residuals. A config is compared field by
+field (the delays' and the spectrum's entries one by one), each value by its
+Python type name and, for a float, by ``float.hex``, so a numpy scalar that
+a validator let through differs from the Python float it should have become.
+It exits 1 on any flipped field or on a gap above ``--tol``.
 """
 import argparse
 import json
@@ -23,11 +26,11 @@ import numpy as np
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-FIELDS = ("measured_x", "retries", "period", "factor", "diagnostic", "error", "satisfied")
+FIELDS = ("measured_x", "retries", "period", "factor", "diagnostic", "error", "satisfied", "config")
 
 #: Child interpreter: argv is TREE BENCH SEED OUT; writes OUT.npz and OUT.json.
 CHILD = """
-import json, sys
+import dataclasses, json, sys
 import numpy as np
 tree, bench, seed, out = sys.argv[1:]
 sys.path[:0] = [tree + "/src", bench]
@@ -44,8 +47,15 @@ np.savez(out + ".npz",
                          for r, k in zip(reports, ok)]),
          residuals=np.array([[r.residuals.delta1, r.residuals.delta2] if k else nan[:2]
                              for r, k in zip(reports, ok)]))
+def typed(value, name):  # [name, type name, value text] of each config field, entry by entry
+    if dataclasses.is_dataclass(value):
+        return [t for f in dataclasses.fields(value) for t in typed(getattr(value, f.name), f.name)]
+    if isinstance(value, tuple):
+        return [t for i, v in enumerate(value) for t in typed(v, f"{name}[{i}]")]
+    return [[name, type(value).__name__, value.hex() if isinstance(value, float) else repr(value)]]
 fields = [[r.measured_x, r.retries, r.period, r.factor, r.diagnostic, r.error,
-           r.residuals.satisfied if k else None] for r, k in zip(reports, ok)]
+           r.residuals.satisfied if k else None, typed(r.config, "config")]
+          for r, k in zip(reports, ok)]
 with open(out + ".json", "w") as f:
     json.dump(fields, f)
 """
@@ -77,7 +87,7 @@ def main(argv=None) -> int:
 
     flips = dict.fromkeys(FIELDS, 0)
     gaps = dict.fromkeys(("states", "dists", "residuals"), 0.0)
-    settings = 0
+    settings, config_example = 0, None
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             (arrays_a, fields_a), (arrays_b, fields_b) = (
@@ -87,9 +97,12 @@ def main(argv=None) -> int:
                 print(f"seed {seed}: {len(fields_a)} reports vs {len(fields_b)}")
                 return 1
             settings += len(fields_a)
-            for row_a, row_b in zip(fields_a, fields_b):
+            for i, (row_a, row_b) in enumerate(zip(fields_a, fields_b)):
                 for name, va, vb in zip(FIELDS, row_a, row_b):
                     flips[name] += va != vb
+                if config_example is None and row_a[-1] != row_b[-1]:
+                    a, b = next((a, b) for a, b in zip(row_a[-1], row_b[-1]) if a != b)
+                    config_example = f"seed {seed} report {i}: {' '.join(a)} vs {' '.join(b)}"
             for name in gaps:
                 gaps[name] = max(gaps[name], largest_gap(arrays_a[name], arrays_b[name]))
             print(f"seed {seed}: {len(fields_a)} settings, "
@@ -97,6 +110,8 @@ def main(argv=None) -> int:
 
     for name in FIELDS:
         print(f"flipped {name}: {flips[name]}")
+    if config_example:
+        print(f"first config difference: {config_example}")
     for name, gap in gaps.items():
         print(f"largest {name} gap: {gap:.3e}")
     worst = max(gaps.values())
