@@ -54,12 +54,14 @@ def _energy_table(values, omegas_only: bool = False) -> tuple[float, ...]:
 
     A list or tuple of Python floats needs no numpy; anything else goes
     through numpy's float conversion first, with its own errors. A complex
-    array is refused as a list of complex numbers is.
+    array, or a list of numpy complex scalars, is refused as a list of complex
+    numbers is, not cast to its real parts.
     """
     if type(values) in (tuple, list) and all([type(v) is float for v in values]):
         shape = (len(values),)
     else:
-        if isinstance(values, np.ndarray) and values.dtype.kind == "c":
+        items = values if type(values) in (tuple, list) else [values]
+        if any(getattr(v, "dtype", np.dtype(float)).kind == "c" for v in items):
             raise TypeError("float() argument must be a string or a real number, not 'complex'")
         values = np.asarray(values, dtype=float)
         shape = values.shape
@@ -119,15 +121,25 @@ def _refuse_first(bad, message: str, **values) -> None:
 def _phase_factors(energies: np.ndarray, dt) -> np.ndarray:
     """exp(-i*E*dt) for a 16-entry or (B, 16) spectrum and a scalar or (B,) dt, one per row.
 
-    A product E*dt that overflows is refused here, naming the first bad row,
-    instead of letting numpy warn and turn the state into NaN.
+    With one 16-entry table for a (B,) dt that repeats a delay, each distinct
+    delay (by bit pattern, so -0.0 and 0.0 stay apart) is exponentiated once
+    and its row gathered back; each entry is the same product and exp, so
+    the bits do not change. A product E*dt that overflows is refused here,
+    naming the first bad row, instead of letting numpy warn and turn the
+    state into NaN.
     """
-    delay = np.asarray(dt)[..., None]
+    delay, rows = np.asarray(dt), slice(None)
+    if energies.ndim == 1 and delay.ndim == 1 and delay.size > 1:
+        bits, inverse = np.unique(delay.view(f"u{delay.itemsize}"), return_inverse=True)
+        if bits.size < delay.size:
+            delay, rows = bits.view(delay.dtype), inverse
+    delay = delay[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         phase = -1j * energies * delay
-    _refuse_first(~np.isfinite(phase), "state is not normalized: non-finite phase E*dt for "
-                  "E = {e}, dt = {dt}", e=energies, dt=delay)
-    return np.exp(phase)
+    # Checked in row order, so the first bad row is named, not the smallest bad delay.
+    _refuse_first(~np.isfinite(phase)[rows], "state is not normalized: non-finite phase E*dt for "
+                  "E = {e}, dt = {dt}", e=energies, dt=delay[rows])
+    return np.exp(phase)[rows]
 
 
 def free_evolve(state: np.ndarray, spectrum: np.ndarray, dt) -> np.ndarray:

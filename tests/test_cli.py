@@ -825,6 +825,22 @@ def test_natural_phase_sweep_refuses_infinite_total_delay(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["free-evolution", "natural-phase"])
+def test_descending_overflow_grid_names_its_first_point(capsys, tmp_path, mode):
+    # Every point overflows E*tau1 (and E*(tau1 + tau2)), and tau1 falls along
+    # the grid: the refusal names the first point's delay, not the smallest one.
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--tau1-start", "1e300", "--tau1-stop", "5e299", "--tau1-count", "3",
+        "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "2", "--mode", mode,
+        "--energies", ",".join(["1e10"] * 16), "--out", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: state is not normalized: non-finite phase E*dt for E = 10000000000.0, dt = 1e+300\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["sweep", "--tau1-start", "0", "--tau1-stop", "1e300", "--tau1-count", "2",
      "--tau2-start", "0", "--tau2-stop", "0", "--tau2-count", "1", "--out", "grid.csv"],

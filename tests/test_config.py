@@ -186,6 +186,14 @@ def test_build_config_rejects_unknown_keys():
          "float() argument must be a string or a real number, not 'complex'"),
         ({"energies": np.full(16, 1.0 + 0j)},
          "float() argument must be a string or a real number, not 'complex'"),
+        ({"omega": [np.complex128(1 + 2j), 1.0, 1.0, 1.0]},
+         "float() argument must be a string or a real number, not 'complex'"),
+        ({"omega": (1.0, 2.0, np.complex64(3), 4.0)},
+         "float() argument must be a string or a real number, not 'complex'"),
+        ({"energies": [np.complex128(1.0)] * 16},
+         "float() argument must be a string or a real number, not 'complex'"),
+        ({"energies": (0.0,) * 15 + (np.complex128(2 - 1j),)},
+         "float() argument must be a string or a real number, not 'complex'"),
     ],
 )
 @pytest.mark.filterwarnings("error")

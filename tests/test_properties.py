@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import idx
-from shorphase import cli, shor, statevec
+from shorphase import cli, shor, statevec, transforms
 from shorphase.config import DelaySchedule, ExperimentConfig, PipelineMode
 from shorphase.pulses import PulseMode
 
@@ -281,3 +281,38 @@ def test_a_configs_report_does_not_depend_on_its_batch(configs, failing, failing
         for i, report in zip(rows, shor.sweep([configs[i] for i in rows]) if rows else ()):
             by_mode[i] = report_bits(report)
     assert by_mode == expected
+
+
+#: (B,) delay pairs from a small pool holding both signed zeros, so rows
+#: repeat, or all distinct; B = 1 included.
+DELAY_POOLS = st.lists(DELAYS, min_size=1, max_size=5).map(lambda pool: pool + [0.0, -0.0])
+DELAY_PAIRS = st.one_of(
+    DELAY_POOLS.flatmap(lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                                              min_size=1, max_size=70)),
+    st.lists(st.tuples(DELAYS, DELAYS), min_size=1, max_size=70, unique_by=lambda pair: pair[0]),
+)
+
+
+def state_bits(state) -> list:
+    """A 16-entry state's amplitudes by float.hex, real parts then imaginary parts."""
+    return list(map(float.hex, state.real.tolist() + state.imag.tolist()))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@hypothesis.given(ENERGIES, DELAY_PAIRS)
+@hypothesis.example([1.0] * 16, [(0.0, -0.0)])
+@hypothesis.example([-3.5] * 16, [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0), (-0.0, -0.0)])
+def test_one_spectrum_batch_is_its_rows_bit_for_bit(energies, pairs):
+    # One table for every row: each distinct delay is exponentiated once and
+    # gathered back. Every row must equal its own scalar call by float.hex,
+    # -0.0 and 0.0 included.
+    spectrum = np.array(energies)
+    tau1, tau2 = (np.array(column) for column in zip(*pairs))
+    state = transforms._SPREAD
+    assert list(map(state_bits, statevec._phase_factors(spectrum, tau1))) == [
+        state_bits(statevec._phase_factors(spectrum, t1)) for t1, _ in pairs]
+    assert list(map(state_bits, statevec.free_evolve(state, spectrum, tau1))) == [
+        state_bits(statevec.free_evolve(state, spectrum, t1)) for t1, _ in pairs]
+    for mode in PipelineMode:
+        assert list(map(state_bits, transforms._final_states(spectrum, mode, tau1, tau2))) == [
+            state_bits(transforms._final_states(spectrum, mode, t1, t2)) for t1, t2 in pairs]

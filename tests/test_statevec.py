@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import ideal_final_state, idx, random_state
-from shorphase import statevec
+from shorphase import statevec, transforms
+from shorphase.config import PipelineMode
 
 
 def test_init_ground_amplitudes():
@@ -136,6 +137,20 @@ def test_free_evolve_refuses_overflowing_phase():
     # Huge but finite products still evolve.
     out = statevec.free_evolve(statevec.init_ground(), spectrum, 1e290)
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_spectrum_batch_names_its_first_bad_row_not_its_smallest_delay():
+    # Each distinct delay is exponentiated once, in sorted order; the refusal
+    # still reads the rows in order. E[1]*1e300 overflows first, while in the
+    # 5e299 rows E[2] is the first to overflow.
+    spectrum = np.arange(16) * 1e9
+    dts = np.array([1.0, 1e300, 5e299, 1e300, 5e299])
+    message = r"E = 1000000000\.0, dt = 1e\+300$"
+    with pytest.raises(ValueError, match=message):
+        statevec.free_evolve(statevec.init_ground(), spectrum, dts)
+    with pytest.raises(ValueError, match=message):
+        transforms._final_states(spectrum, PipelineMode.NATURAL_PHASE, dts, np.zeros(dts.size))
 
 
 def test_free_evolve_composition():

@@ -50,6 +50,10 @@ SW = ["--tau1-start", "0", "--tau1-stop", TWO_PI, "--tau1-count", "3",
 SW_CHUNKS = ["--tau1-start", "0", "--tau1-stop", "7.5", "--tau1-count", "3",
              "--tau2-start", "0", "--tau2-stop", "9", "--tau2-count", "1400"]
 
+#: A 2 x 2 grid of both signed zeros on each axis.
+SW_ZEROS = ["--tau1-start", "0", "--tau1-stop", "-0", "--tau1-count", "2",
+            "--tau2-start", "0", "--tau2-stop", "-0", "--tau2-count", "2"]
+
 #: (name, argv). Names starting with "err-" or "help" are run with the env var unset only.
 BASE = [
     # shor-demo
@@ -109,6 +113,8 @@ BASE = [
                       "--tau2-start", "0", "--tau2-stop", "0", "--tau2-count", "1", "--out", "one.csv"]),
     ("sweep-chunks-csv", ["sweep", *SW_CHUNKS, "--energies", E16, "--out", "chunks.csv"]),
     ("sweep-chunks-json", ["sweep", *SW_CHUNKS, "--mode", "natural-phase", "--out", "chunks.json"]),
+    ("sweep-zeros", ["sweep", *SW_ZEROS, "--out", "zeros.csv"]),
+    ("sweep-zeros-natural", ["sweep", *SW_ZEROS, "--mode", "natural-phase", "--out", "zeros.json"]),
     # usage errors
     ("err-none", []),
     ("err-unknown-cmd", ["frobnicate"]),
@@ -161,6 +167,9 @@ BASE = [
     ("err-sweep-tol0", ["sweep", *SW, "--tolerance", "0", "--out", "g.csv"]),
     ("err-sweep-missing", ["sweep", "--out", "g.csv"]),
     ("err-sweep-omega", ["sweep", *SW, "--omega", "1,x,3,4", "--out", "g.csv"]),
+    ("err-sweep-overflow-desc", ["sweep", "--tau1-start", "1e300", "--tau1-stop", "5e299", "--tau1-count", "3",
+                                 "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "2",
+                                 "--energies", ",".join(["1e10"] * 16), "--out", "g.csv"]),
     ("help", ["--help"]),
     ("help-pulse", ["pulse", "--help"]),
 ]
