@@ -315,13 +315,19 @@ def cmd_check_condition(args) -> int:
 
 
 def _sweep_chunk(config: ExperimentConfig, tau1: np.ndarray, tau2: np.ndarray) -> tuple:
-    """Result columns (delta1 to amp11_mod) of the grid points (tau1[k], tau2[k]), as one batch."""
-    k = statevec._first(~(np.isfinite(tau1) & (tau1 >= 0.0) & np.isfinite(tau2) & (tau2 >= 0.0)))
-    if k is not None:
-        DelaySchedule(float(tau1[k]), float(tau2[k]))  # raises with the schedule's message
-    states, marginals, deltas, satisfied = shor._evaluate(
-        np.asarray(config.spectrum), config.mode, tau1, tau2, config.tolerance
-    )
+    """Result columns (delta1 to amp11_mod) of the grid points (tau1[k], tau2[k]), as one batch.
+
+    A failing batch raises its first failing point's error. The points before
+    the first one a check names may fail a later check, so they go again first.
+    """
+    try:
+        states, marginals, deltas, satisfied = shor._evaluate(
+            np.asarray(config.spectrum), config.mode, tau1, tau2, config.tolerance
+        )
+    except ValueError as exc:
+        if min(exc.rows):
+            _sweep_chunk(config, tau1[:min(exc.rows)], tau2[:min(exc.rows)])
+        raise
     amp11 = states[:, statevec.basis_index(1, 1)]
     # hypot rounds as Python's abs(complex) does; np.abs can differ in the last bit.
     return (*deltas.T, satisfied, *marginals.T, np.hypot(amp11.real, amp11.imag))
@@ -342,17 +348,13 @@ def _sweep_rows(args, config: ExperimentConfig):
     taus1 = np.linspace(args.tau1_start, args.tau1_stop, args.tau1_count)
     taus2 = np.linspace(args.tau2_start, args.tau2_stop, args.tau2_count)
     tau1, tau2 = np.repeat(taus1, taus2.size), np.tile(taus2, taus1.size)
-    chunks = []
-    for start in range(0, tau1.size, _SWEEP_CHUNK):
-        t1, t2 = tau1[start:start + _SWEEP_CHUNK], tau2[start:start + _SWEEP_CHUNK]
-        try:
-            chunks.append(_sweep_chunk(config, t1, t2))
-        except ValueError:
-            # Each check names its own first bad row; redo the chunk point by
-            # point so that the first failing point decides the message.
-            for i in range(t1.size):
-                _sweep_chunk(config, t1[i:i + 1], t2[i:i + 1])
-            raise
+    bad = np.flatnonzero(~(np.isfinite(tau1) & (tau1 >= 0.0) & np.isfinite(tau2) & (tau2 >= 0.0)))
+    end = int(bad[0]) if bad.size else tau1.size
+    chunks = [_sweep_chunk(config, tau1[start:end][:_SWEEP_CHUNK], tau2[start:end][:_SWEEP_CHUNK])
+              for start in range(0, end, _SWEEP_CHUNK)]
+    if bad.size:
+        # No earlier point failed: this raises with the schedule's message.
+        DelaySchedule(float(tau1[end]), float(tau2[end]))
     return zip(*map(_cells, (tau1, tau2, *map(np.concatenate, zip(*chunks)))))
 
 

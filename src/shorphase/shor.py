@@ -97,16 +97,20 @@ def _evaluate(spectrum, mode, tau1, tau2, tol):
     delays and the checked ``tol`` are scalars or (B,) arrays. ``mode`` is one
     ``PipelineMode`` for every row or, for a batch of (B, 16) spectra and (B,)
     delays that holds both modes, a (B,) bool mask of its natural-phase rows;
-    only the final states are computed per mode. Each check names its first
-    bad row. A run fails as the pipeline would: a bad phase, the y=0 leak or
-    the norm is reported before a bad residual.
+    only the final states are computed per mode. Each check names every bad
+    row (``statevec._refuse_first``). A run fails as the pipeline would: a bad
+    phase, the y=0 leak or the norm is reported before a bad residual.
     """
     if isinstance(mode, PipelineMode):
         states = transforms._final_states(spectrum, mode, tau1, tau2)
     else:
         states = np.empty(spectrum.shape, dtype=complex)
         for rows, each in ((~mode, PipelineMode.FREE_EVOLUTION), (mode, PipelineMode.NATURAL_PHASE)):
-            states[rows] = transforms._final_states(spectrum[rows], each, tau1[rows], tau2[rows])
+            try:
+                states[rows] = transforms._final_states(spectrum[rows], each, tau1[rows], tau2[rows])
+            except ValueError as exc:  # the refused rows, by their place in the whole batch
+                exc.rows = dict(zip(np.flatnonzero(rows)[list(exc.rows)].tolist(), exc.rows.values()))
+                raise
     marginals = statevec._x_marginals(states)
     return states, marginals, *_residuals(spectrum, tau1, tau2, tol)
 
@@ -185,13 +189,16 @@ def _seeded_draws(seeds, caps, marginals):
     x = 0 carries no period information, so rows draw in rounds: each round
     draws again for the rows still at x = 0 with retries left. A batch of
     ``_STREAM_MIN_ROWS`` or more seeds in [0, 2**128) draws from the batched
-    stream; any other batch uses ``np.random.default_rng(seed)``, so a
-    negative seed fails with numpy's own error.
+    stream; any other batch uses ``np.random.default_rng(seed)``, so every
+    negative seed is refused with numpy's own error.
     """
     n = len(seeds)
     batched = n >= _STREAM_MIN_ROWS and all(0 <= s < _pcg64.SEED_LIMIT for s in seeds)
     stream = _pcg64.Pcg64(seeds) if batched else None
-    gens = [] if batched else [np.random.default_rng(s) for s in seeds]
+    try:
+        gens = [] if batched else [np.random.default_rng(s) for s in seeds]
+    except ValueError as exc:  # numpy refuses exactly the negative seeds, each alike
+        statevec._refuse_first(np.array([s < 0 for s in seeds]), str(exc))
     u, retries, rows, p0 = [0.0] * n, [0] * n, list(range(n)), marginals[:, 0].tolist()
     while rows:
         drawn = (stream.random(np.array(rows)).tolist() if batched
@@ -224,38 +231,48 @@ def _finish(config: ExperimentConfig, state, distribution, residuals, measured_x
                      diagnostic)
 
 
-def _run_batch(configs: list) -> list[RunReport]:
-    """The report of each config, computed as one batch; the first error is raised.
+def _run_batch(configs: list) -> list:
+    """The report of each config, or the exception that refused it, computed as one batch.
 
     Each config brings its own mode, spectrum, delays, tolerance, seed and
-    retry cap; only ``_finish`` runs per config.
+    retry cap; only ``_finish`` runs per config. A row that a check refuses
+    passed every earlier check, so it keeps that error as its own, and the
+    other rows are evaluated again: one more pass per refusing check.
     """
-    modes, spectra, tau1, tau2, tols, seeds, caps = zip(*[
-        (c.mode, c.spectrum, c.delays.tau1, c.delays.tau2, c.tolerance, c.seed, c.retry_cap)
-        for c in configs
-    ])
-    natural = [m is PipelineMode.NATURAL_PHASE for m in modes]
-    mode = np.array(natural) if any(natural) and not all(natural) else modes[0]
-    # Each spectrum is a 16-tuple of floats; fromiter skips np.array's nested-shape search.
-    table = np.fromiter(itertools.chain.from_iterable(spectra), float, statevec.DIM * len(configs))
-    states, marginals, deltas, satisfied = _evaluate(
-        table.reshape(-1, statevec.DIM), mode, np.array(tau1), np.array(tau2), np.array(tols)
-    )
-    x, retries = _seeded_draws(seeds, caps, marginals)
-    rows = zip(configs, states, marginals.tolist(), deltas.tolist(), satisfied.tolist(), x, retries)
-    return [_finish(config, state, {0: p0, 1: p1, 2: p2, 3: p3}, ConditionResidual(d1, d2, verdict),
-                    xi, retry)
-            for config, state, (p0, p1, p2, p3), (d1, d2), verdict, xi, retry in rows]
-
-
-def _guarded(config) -> RunReport:
-    """``run_experiment(config)``, or a report carrying the error it raised; a Warning propagates."""
-    try:
-        return run_experiment(config)
-    except Warning:
-        raise
-    except Exception as exc:
-        return RunReport(config=config, error=f"{type(exc).__name__}: {exc}")
+    results, rows = [None] * len(configs), []
+    for i, c in enumerate(configs):
+        try:
+            rows.append((i, c.mode, c.spectrum, c.delays.tau1, c.delays.tau2, c.tolerance, c.seed,
+                         c.retry_cap))
+        except AttributeError as exc:  # an item that is not a config
+            results[i] = exc
+    while rows:
+        index, modes, spectra, tau1, tau2, tols, seeds, caps = zip(*rows)
+        natural = [m is PipelineMode.NATURAL_PHASE for m in modes]
+        mode = np.array(natural) if any(natural) and not all(natural) else modes[0]
+        # Each spectrum is a 16-tuple of floats; fromiter skips np.array's nested-shape search.
+        table = np.fromiter(itertools.chain.from_iterable(spectra), float, statevec.DIM * len(rows))
+        try:
+            states, marginals, deltas, satisfied = _evaluate(
+                table.reshape(-1, statevec.DIM), mode, np.array(tau1), np.array(tau2), np.array(tols)
+            )
+            x, retries = _seeded_draws(seeds, caps, marginals)
+        except ValueError as exc:
+            for r, error in exc.rows.items():
+                results[index[r]] = error
+            rows = [row for r, row in enumerate(rows) if r not in exc.rows]
+            continue
+        for i, state, (p0, p1, p2, p3), (d1, d2), verdict, xi, retry in zip(
+                index, states, marginals.tolist(), deltas.tolist(), satisfied.tolist(), x, retries):
+            try:
+                results[i] = _finish(configs[i], state, {0: p0, 1: p1, 2: p2, 3: p3},
+                                     ConditionResidual(d1, d2, verdict), xi, retry)
+            except Warning:
+                raise
+            except Exception as exc:
+                results[i] = exc
+        break
+    return results
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -264,7 +281,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     The one-config batch of ``sweep``, through the same batched core. Errors
     are raised.
     """
-    return _run_batch([config])[0]
+    report = _run_batch([config])[0]
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
 def sweep(configs) -> list[RunReport]:
@@ -272,22 +292,14 @@ def sweep(configs) -> list[RunReport]:
 
     Each run of up to ``_SWEEP_CHUNK`` configs, in input order and of either
     mode, is computed as one batch with one set-up of the seeded draws; only
-    the report is built per config. A batch that raises is redone config by
-    config through ``run_experiment``, so each failing config gets its own
-    error. A warning raised as an exception (a ``-W error`` filter) is neither
-    redone nor recorded: it reaches the caller.
+    the report is built per config. A config that fails gets its own error on
+    its report, and no config is computed alone. A warning raised as an
+    exception (a ``-W error`` filter) is not recorded: it reaches the caller.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("sweep needs at least one config")
-    reports = []
-    for start in range(0, len(configs), _SWEEP_CHUNK):
-        batch = configs[start:start + _SWEEP_CHUNK]
-        try:
-            reports += _run_batch(batch)
-        except Warning:
-            raise
-        except Exception:
-            # A non-config has no fields to batch; it gets its own error here.
-            reports += [_guarded(config) for config in batch]
-    return reports
+    results = [result for start in range(0, len(configs), _SWEEP_CHUNK)
+               for result in _run_batch(configs[start:start + _SWEEP_CHUNK])]
+    return [RunReport(config=config, error=f"{type(result).__name__}: {result}")
+            if isinstance(result, Exception) else result for config, result in zip(configs, results)]

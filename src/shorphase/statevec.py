@@ -100,22 +100,23 @@ def make_spectrum(values) -> np.ndarray:
     return np.array(_energy_table(values))
 
 
-def _first(bad) -> int | None:
-    """Row-major index of the first True entry of a boolean mask, or None if there is none."""
-    # count_nonzero is one C call; ndarray.any goes through a Python wrapper first.
-    return int(np.flatnonzero(bad)[0]) if np.count_nonzero(bad) else None
-
-
 def _refuse_first(bad, message: str, **values) -> None:
     """Raise ValueError(message) at the first True entry of the mask ``bad``, if it has one.
 
     ``message`` is a ``str.format`` template; each of ``values`` is broadcast
     against ``bad`` and read at that entry, so the message names the bad row.
+    The error's ``rows`` maps each refused row (first axis), in order, to its
+    own ValueError, read at that row's first True entry; the first is raised.
     """
-    i = _first(bad)
-    if i is not None:
-        at = {key: np.broadcast_to(value, np.shape(bad)).flat[i] for key, value in values.items()}
-        raise ValueError(message.format(**at))
+    # count_nonzero is one C call; ndarray.any goes through a Python wrapper first.
+    if np.count_nonzero(bad):
+        at = np.flatnonzero(bad)
+        rows, first = np.unique(at // math.prod(bad.shape[1:]), return_index=True)
+        flat = {key: np.broadcast_to(value, bad.shape).flat for key, value in values.items()}
+        errors = [ValueError(message.format(**{key: entries[i] for key, entries in flat.items()}))
+                  for i in at[first].tolist()]
+        errors[0].rows = dict(zip(rows.tolist(), errors))
+        raise errors[0]
 
 
 def _phase_factors(energies: np.ndarray, dt) -> np.ndarray:

@@ -761,6 +761,30 @@ def test_batched_idles_go_through_free_evolve(capsys, monkeypatch, tmp_path):
     assert len(calls) == 4
 
 
+def test_no_row_of_a_failing_batch_is_computed_alone(capsys, monkeypatch, tmp_path):
+    # A check names every row it refuses, so a failing chunk costs one more
+    # pass per refusing check, not a pass per row.
+    calls = []
+    real = statevec.free_evolve
+    monkeypatch.setattr(statevec, "free_evolve", lambda *args: calls.append(args) or real(*args))
+    configs = [build_config({"tau1": 0.001 * i, "tau2": 0.2, "seed": i})
+               for i in range(cli._SWEEP_CHUNK)]
+    configs[1000] = build_config({"tau1": 1e308, "seed": 1000})
+    reports = shor.sweep(configs)
+    assert [i for i, report in enumerate(reports) if report.error] == [1000]
+    assert len(calls) <= 4
+    # E*tau1 = 12 * tau1 overflows at the last three of 2048 points.
+    calls.clear()
+    code, _, err = run_cli(
+        capsys, "sweep", "--tau1-start", "0", "--tau1-stop", "1.5e307",
+        "--tau1-count", str(cli._SWEEP_CHUNK), "--tau2-start", "0", "--tau2-stop", "0",
+        "--tau2-count", "1", "--omega", "0,0,0,12", "--out", str(tmp_path / "grid.csv"),
+    )
+    assert (code, err) == (1, "error: state is not normalized: non-finite phase E*dt for "
+                              "E = 12.0, dt = 1.498534440644846e+307\n")
+    assert len(calls) <= 4
+
+
 @pytest.mark.filterwarnings("error")
 def test_sweep_first_failing_point_decides(capsys, tmp_path):
     # On the tau2 axis, E = 1e305 overflows the free-evolution phase from the
@@ -776,6 +800,23 @@ def test_sweep_first_failing_point_decides(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: state is not normalized: non-finite phase")
     assert err.endswith("dt = 10000000.0\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_earlier_point_failing_a_later_check_decides(capsys, tmp_path):
+    # The gap E[2,0] - E[0,0] overflows, so every point fails the residual
+    # check, and E*tau1 overflows the phase at the second point. The batch
+    # raises the phase check first, at point 1; point 0 fails the later check.
+    energies = [0.0] * 16
+    energies[idx(2, 0)], energies[idx(0, 0)] = 1e308, -1e308
+    out_path = tmp_path / "grid.csv"
+    assert run_cli(
+        capsys, "sweep", "--tau1-start", "0", "--tau1-stop", "1e300", "--tau1-count", "2",
+        "--tau2-start", "0", "--tau2-stop", "0", "--tau2-count", "1",
+        "--energies", ",".join(map(repr, energies)), "--out", str(out_path),
+    ) == (1, "", "error: interference residuals are not finite: E*tau overflows at "
+                 "tau1 = 0.0, tau2 = 0.0\n")
+    assert not out_path.exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -240,7 +240,7 @@ SWEEP_CONFIGS = st.builds(
     retry_cap=st.integers(1, 16),
 )
 
-#: E*tau1 overflows: the batch raises and is redone config by config.
+#: E*tau1 overflows: the batch refuses this row, and the other rows go again.
 OVERFLOWING = DelaySchedule(1e10, 0.0), (1e300,) * 16
 
 

@@ -127,8 +127,8 @@ def test_run_experiment_refuses_non_finite_residuals():
 
 
 def test_sweep_overflowing_gap_warns_nothing():
-    # Recorded, not raised: a raised warning would send the batch to its
-    # config-by-config redo and hide that the batch printed one.
+    # Recorded, not raised: the test sees any warning the batch prints and
+    # still gets the report.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = shor.sweep([config_for(residual_overflow_spectrum(), tau1=0.5)])[0]
@@ -139,7 +139,7 @@ def test_sweep_overflowing_gap_warns_nothing():
 @pytest.mark.parametrize("step", ["_evaluate", "_finish"])
 def test_sweep_lets_a_raised_warning_through(monkeypatch, step):
     # Under an error filter a warning arrives as an exception. Neither the
-    # batch's config-by-config redo nor the per-config guard may absorb it.
+    # batch's refused-row path nor the per-config report step may absorb it.
     real = getattr(shor, step)
 
     def warn_then_run(*args):
@@ -154,8 +154,8 @@ def test_sweep_lets_a_raised_warning_through(monkeypatch, step):
 
 
 def test_a_warning_raised_in_the_redo_reaches_the_caller(monkeypatch):
-    # The batch fails on the first config, so it is redone config by config;
-    # the second config's warning is then raised inside the per-config guard.
+    # The batch refuses the first config, so the rest of it, the second
+    # config, is computed again; its warning is raised in its report step.
     real = shor._finish
 
     def warn_then_finish(*args):
@@ -308,7 +308,8 @@ def test_sweep_preserves_order_and_is_deterministic():
 
 
 def test_sweep_records_per_config_errors(monkeypatch):
-    # The seeded draw is the step sweep still takes config by config.
+    # The report is the step sweep takes config by config; what it raises
+    # stays on that config.
     real_finish = shor._finish
     poison = config_for(tau1=0.123456)
 
@@ -323,6 +324,21 @@ def test_sweep_records_per_config_errors(monkeypatch):
     assert reports[1].error == "RuntimeError: synthetic failure"
     assert reports[1].factor is None
     assert reports[2].factor == 2 and reports[2].error is None
+
+
+def test_sweep_records_a_non_config_item_on_its_own_report():
+    config = config_for(tau1=0.3, tau2=0.1, seed=5)
+    text = "'int' object has no attribute 'mode'"
+    with pytest.raises(AttributeError, match=f"^{text}$"):
+        shor.run_experiment(7)
+    reports = shor.sweep([config, 7, config])
+    assert (reports[1].config, reports[1].error) == (7, f"AttributeError: {text}")
+    alone = shor.run_experiment(config)
+    for report in (reports[0], reports[2]):
+        np.testing.assert_array_equal(report.final_state, alone.final_state)
+        for name in ("config", "x_distribution", "residuals", "measured_x", "period", "factor",
+                     "retries", "diagnostic", "error"):
+            assert getattr(report, name) == getattr(alone, name)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

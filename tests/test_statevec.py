@@ -153,6 +153,20 @@ def test_one_spectrum_batch_names_its_first_bad_row_not_its_smallest_delay():
         transforms._final_states(spectrum, PipelineMode.NATURAL_PHASE, dts, np.zeros(dts.size))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_refusal_names_every_bad_row_with_its_own_message():
+    # Each refused row's error is read at that row's first bad entry, and the
+    # raised error is the first row's.
+    spectra = np.ones((4, 16))
+    spectra[1, 3:], spectra[3, 5] = 1e300, 2e300
+    with pytest.raises(ValueError) as caught:
+        statevec.free_evolve(statevec.init_ground(), spectra, 1e10)
+    prefix = "state is not normalized: non-finite phase E*dt for E = "
+    assert {row: str(error) for row, error in caught.value.rows.items()} == {
+        1: prefix + "1e+300, dt = 10000000000.0", 3: prefix + "2e+300, dt = 10000000000.0"}
+    assert caught.value.rows[1] is caught.value
+
+
 def test_free_evolve_composition():
     rng = np.random.default_rng(14)
     for _ in range(50):

@@ -6,7 +6,12 @@ For each seed, every batch of ``bench/inputs.run_batch`` (the inputs of the
 ``experiment-batch`` workload, from the ``bench`` next to this script, so both
 trees see the same settings) goes through ``config.build_config`` and
 ``shor.sweep`` of each tree, each tree in its own child interpreter with its
-``src`` on the path. The script prints, per field, how many reports differ in
+``src`` on the path. No bench setting fails a check, so the first batch of
+each seed also holds a fixed set of failing settings, each in both modes and
+spread through the batch: a phase that overflows at idle 1, an overflowing
+natural-phase total (free evolution runs it cleanly), an overflowing residual
+gap and a negative seed. Their reports' error texts are compared like every
+other field. The script prints, per field, how many reports differ in
 ``measured_x``, ``retries``, ``period``, ``factor``, ``diagnostic``, ``error``,
 the ``satisfied`` verdict or the ``config``, and the largest absolute gap of
 the final states, x distributions and residuals. A config is compared field by
@@ -36,9 +41,21 @@ tree, bench, seed, out = sys.argv[1:]
 sys.path[:0] = [tree + "/src", bench]
 import inputs
 from shorphase import config, shor
+wide = [0.0] * 16
+wide[8], wide[0] = 1e308, -1e308  # E[2,0] - E[0,0] overflows
+failing = [dict(s, mode=mode) for mode in ("free-evolution", "natural-phase") for s in (
+    {"tau1": 1e308},  # E*tau1 overflows at idle 1 (natural phase: the terminal phase)
+    {"omega": (0.0, 0.0, 0.0, 1.0), "tau1": 1e308, "tau2": 1e308},  # tau1 + tau2 overflows
+    {"energies": wide, "tau1": 0.5},  # the residual gap overflows
+    {"seed": -1, "tau1": 0.3},  # numpy refuses a negative seed
+)]
 reports = []
 for index in range(inputs.PASS_BATCHES):
-    reports += shor.sweep([config.build_config(s) for s in inputs.run_batch(int(seed), index)])
+    settings = inputs.run_batch(int(seed), index)
+    if index == 0:
+        for k, extra in enumerate(failing):
+            settings.insert(41 * k, extra)
+    reports += shor.sweep([config.build_config(s) for s in settings])
 nan = np.full(16, np.nan)
 ok = [r.error is None for r in reports]
 np.savez(out + ".npz",
