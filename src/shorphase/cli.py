@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -77,19 +76,22 @@ class UsageError(ValueError):
     """Bad flags or unusable inputs; maps to exit code 1."""
 
 
-#: A number without its sign, exponent form included. Each string has one way
-#: to match, so a list that fails to match fails at once instead of backtracking.
-_UNSIGNED = r"(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?"
+class _NumberList:
+    """argparse's test of an argument that starts with "-": a value if ``float_list`` reads it."""
 
-#: A negative number, or a comma list of numbers that starts with one; argparse's
-#: own pattern takes -1e308 or -1,2,3,4 for a flag.
-_NEGATIVE_NUMBER = re.compile(rf"^-{_UNSIGNED}(,[-+]?{_UNSIGNED})*$")
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float_list(text)
+        except ValueError:
+            return False
+        return True
 
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._negative_number_matcher = _NumberList
 
     # argparse exits with code 2 by default, which collides with the
     # no-factor exit code; route everything through UsageError instead.
@@ -224,6 +226,10 @@ def cmd_shor_demo(args) -> int:
 # pulse
 
 
+def _amplitude(c: complex) -> dict:
+    return {"modulus": _sig(abs(c)), "phase": _sig(wrap_phase(np.angle(c)))}
+
+
 def _pulse_result(args) -> dict:
     mode = PulseMode(args.mode)
     e_k, e_p = _floats(args.energies, 2, "--energies")
@@ -276,14 +282,8 @@ def _pulse_result(args) -> dict:
         "t0": t0,
         "phase": phase,
         "area": area,
-        "c_k": {
-            "modulus": _sig(abs(final.c_k)),
-            "phase": _sig(wrap_phase(np.angle(final.c_k))),
-        },
-        "c_p": {
-            "modulus": _sig(abs(final.c_p)),
-            "phase": _sig(wrap_phase(np.angle(final.c_p))),
-        },
+        "c_k": _amplitude(final.c_k),
+        "c_p": _amplitude(final.c_p),
         "ode_discrepancy": None if ode_discrepancy is None else _sig(ode_discrepancy),
         "phase_error_vs_coherent": phase_error,
     }
@@ -345,6 +345,12 @@ def _cells(column: np.ndarray) -> list:
 
 def _sweep_rows(args, config: ExperimentConfig):
     """The grid's rows as cell text, row-major with tau1 outer, for the shared ``config``."""
+    for axis in ("tau1", "tau2"):
+        ends = getattr(args, f"{axis}_start"), getattr(args, f"{axis}_stop")
+        if not math.isfinite(ends[1] - ends[0]):
+            # np.linspace would warn and fill the axis with NaN: name the end that is not a delay.
+            bad = next(end for end in ends if not 0.0 <= end < math.inf)
+            DelaySchedule(**{"tau1": 0.0, "tau2": 0.0, axis: bad})
     taus1 = np.linspace(args.tau1_start, args.tau1_stop, args.tau1_count)
     taus2 = np.linspace(args.tau2_start, args.tau2_stop, args.tau2_count)
     tau1, tau2 = np.repeat(taus1, taus2.size), np.tile(taus2, taus1.size)

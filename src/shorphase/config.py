@@ -91,12 +91,12 @@ class DelaySchedule:
         return self.tau1 + self.tau2
 
 
-def _check_tolerance(tol):
-    """``tol``, if it is a finite and positive interference tolerance; else ValueError."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        rule = "positive" if math.isfinite(tol) else "finite"
-        raise ValueError(f"tolerance must be {rule}, got {tol}")
-    return tol
+def _check_positive(value, name: str):
+    """``value``, if it is finite and positive; else ValueError naming ``name`` and the rule it fails."""
+    if not (math.isfinite(value) and value > 0.0):
+        rule = "positive" if math.isfinite(value) else "finite"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
 
 
 #: Python floats, as every config's spectrum: ``config_to_text`` writes their reprs.
@@ -134,7 +134,7 @@ class ExperimentConfig:
                 raise ConfigError(f"retry_cap must be at least 1, got {self.retry_cap}")
             tolerance = _coerce(self, "tolerance", float)
             try:
-                _check_tolerance(tolerance)
+                _check_positive(tolerance, "tolerance")
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
         if self.output_format not in OUTPUT_FORMATS:

@@ -31,7 +31,16 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .config import _check_positive
 from .statevec import wrap_phase
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
 
 
 class PulseMode(enum.Enum):
@@ -50,10 +59,7 @@ class TwoLevelSystem:
 
     def __post_init__(self):
         for name in ("e_k", "e_p"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
 
     @property
     def omega_pk(self) -> float:
@@ -79,10 +85,7 @@ class PulseSpec:
     def __post_init__(self):
         object.__setattr__(self, "mode", PulseMode(self.mode))
         for name in ("rabi", "t0", "tau", "phase"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
         object.__setattr__(self, "phase", wrap_phase(self.phase))
         if self.mode is PulseMode.SUDDEN:
             if self.area is None or not math.isfinite(float(self.area)):
@@ -125,8 +128,7 @@ def natural_init(modulus: float, e_k: float, t0: float) -> TwoLevelState:
 
     A t0 that is not finite, and a product E_k*t0 that overflows, are refused.
     """
-    if not math.isfinite(t0):
-        raise ValueError("t0 must be finite")
+    _finite(t0, "t0")
     if not math.isfinite(e_k * t0):
         raise ValueError(f"non-finite phase E*t for E = {e_k!r}, t = {t0!r}")
     return TwoLevelState(modulus * cmath.exp(-1j * e_k * t0), 0.0)
@@ -194,9 +196,7 @@ def evolve_sudden(init: TwoLevelState, area: float) -> TwoLevelState:
     C_k*cos(area) and i*C_k*sin(area): the newborn level inherits the
     parent's accumulated phase plus pi/2, not its own natural phase.
     """
-    area = float(area)
-    if not math.isfinite(area):
-        raise ValueError("area must be finite")
+    area = _finite(area, "area")
     c, s = math.cos(area), math.sin(area)
     return TwoLevelState(init.c_k * c + 1j * init.c_p * s,
                          init.c_p * c + 1j * init.c_k * s)
@@ -226,16 +226,16 @@ def integrate_ode(sys: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState,
     with theta the mode's drive argument, integrated from t0 to t0+tau in
     ceil(tau/step) equal steps. The default step tau/1000 keeps the error and
     the norm drift far below the closed forms' comparison tolerances. A step
-    count above ``_MAX_STEPS`` or not finite, a given step whose dt exceeds
-    RK4's stability limit (rho*dt > 2*sqrt(2), with rho = max(|E_k|, |E_p|)
-    + rabi/2 bounding the generator's eigenvalues), a t0 so large that
-    t0 + dt == t0, and an integration that ends in a non-finite amplitude,
-    raise ValueError. Not defined for sudden pulses.
+    that is not finite and positive, a step count above ``_MAX_STEPS`` or not
+    finite, a given step past RK4's stability limit (rho*dt > 2*sqrt(2), with
+    rho = max(|E_k|, |E_p|) + rabi/2 bounding the generator's eigenvalues), a
+    t0 so large that t0 + dt == t0, and an integration that ends in a
+    non-finite amplitude, raise ValueError. Not defined for sudden pulses.
     """
     if pulse.mode is PulseMode.SUDDEN:
         raise ValueError("sudden pulses are instantaneous; use evolve_sudden")
-    if step is not None and not (step > 0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive, got {step}")
+    if step is not None:
+        _check_positive(step, "step")
     tau = pulse.tau
     if tau == 0.0:
         return init

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pcg64, statevec, transforms
-from .config import DelaySchedule, ExperimentConfig, PipelineMode, _check_tolerance
+from .config import DelaySchedule, ExperimentConfig, PipelineMode, _check_positive
 from .statevec import wrap_phase
 
 #: Number of states in the x register.
@@ -118,7 +118,7 @@ def _evaluate(spectrum, mode, tau1, tau2, tol):
 def check_condition(spectrum, delays: DelaySchedule, tol: float = 1e-9) -> ConditionResidual:
     """Evaluate both interference residuals for a spectrum and delay pair."""
     table = statevec.make_spectrum(spectrum)
-    delta, satisfied = _residuals(table, delays.tau1, delays.tau2, _check_tolerance(tol))
+    delta, satisfied = _residuals(table, delays.tau1, delays.tau2, _check_positive(tol, "tolerance"))
     return ConditionResidual(*delta.tolist(), bool(satisfied))
 
 

@@ -348,6 +348,16 @@ def test_pulse_refuses_overflowing_phases(capsys, flags, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("step, message", [
+    ("inf", "step must be finite, got inf"),
+    ("nan", "step must be finite, got nan"),
+    ("0", "step must be positive, got 0.0"),
+])
+def test_pulse_step_rule_is_the_tolerance_rule(capsys, step, message):
+    # An infinite step used to be refused as "step must be positive, got inf".
+    assert run_cli(capsys, "pulse", "--rabi", "1", "--step", step) == (1, "", f"error: {message}\n")
+
+
 def test_pulse_refuses_a_clock_that_cannot_advance(tmp_path):
     # At t0 = 1e300, t0 + 0.001 == t0: the integrator would step a frozen clock
     # and report rounding noise as an ODE discrepancy.
@@ -438,6 +448,83 @@ def test_pulse_energies_may_start_negative(capsys):
     assert code == 0
     report = json.loads(out)
     assert (report["e_k"], report["e_p"]) == (-0.25, -10.0)
+
+
+#: Signed values that float() reads and argparse's own pattern takes for a flag,
+#: each with its text in a refusal.
+SIGNED_VALUES = {"-inf": "-inf", "-nan": "nan", "-Infinity": "-inf", "-1_000": "-1000.0"}
+
+_GRID = ["--tau1-start", "0", "--tau1-stop", "1", "--tau1-count", "2",
+         "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "2", "--out", "grid.csv"]
+_DELAY = "must be finite and non-negative, got {v}"
+_TOL = "tolerance must be {rule}, got {v}"
+_OMEGA, _ENERGIES = "error: --omega needs 4 values, got 1", "error: --energies needs 16 values, got 1"
+_INT = "error: argument {flag}: invalid int value: '{raw}'"
+
+#: Every numeric flag: a run it is added to, the flag, its stderr for -inf, -nan
+#: and -Infinity ({v}: the value as printed, {raw}: as given), and for -1_000
+#: (None: the run succeeds).
+NUMERIC_FLAGS = [
+    (["shor-demo"], "--tau1", "config error: tau1 " + _DELAY, "config error: tau1 " + _DELAY),
+    (["shor-demo"], "--tau2", "config error: tau2 " + _DELAY, "config error: tau2 " + _DELAY),
+    (["shor-demo"], "--seed", _INT, "error: expected non-negative integer"),
+    (["shor-demo"], "--retry-cap", _INT, "config error: retry_cap must be at least 1, got -1000"),
+    (["shor-demo"], "--tolerance", "config error: " + _TOL, "config error: " + _TOL),
+    (["shor-demo"], "--omega", _OMEGA, _OMEGA),
+    (["shor-demo"], "--energies", _ENERGIES, _ENERGIES),
+    (["pulse"], "--rabi", "error: rabi must be finite", "error: rabi must be non-negative, got -1000.0"),
+    (["pulse", "--rabi", "1"], "--duration", "error: tau must be finite",
+     "error: tau must be non-negative, got -1000.0"),
+    (["pulse", "--mode", "sudden"], "--area", "error: area must be finite", None),
+    (["pulse", "--rabi", "1"], "--t0", "error: t0 must be finite", None),
+    (["pulse", "--rabi", "1"], "--phase", "error: phase must be finite", None),
+    (["pulse", "--rabi", "1"], "--step", "error: step must be finite, got {v}",
+     "error: step must be positive, got -1000.0"),
+    (["pulse", "--rabi", "1"], "--energies", "error: --energies needs 2 values, got 1",
+     "error: --energies needs 2 values, got 1"),
+    *[(["sweep", *_GRID], f"--{axis}-{end}", f"config error: {axis} " + _DELAY,
+       f"config error: {axis} " + _DELAY) for axis in ("tau1", "tau2") for end in ("start", "stop")],
+    *[(["sweep", *_GRID], f"--{axis}-count", _INT, f"error: --{axis}-count must be at least 1")
+      for axis in ("tau1", "tau2")],
+    (["sweep", *_GRID], "--omega", _OMEGA, _OMEGA),
+    (["sweep", *_GRID], "--energies", _ENERGIES, _ENERGIES),
+    (["sweep", *_GRID], "--tolerance", "config error: " + _TOL, "config error: " + _TOL),
+    (["check-condition"], "--tau1", "error: tau1 " + _DELAY, "error: tau1 " + _DELAY),
+    (["check-condition"], "--tau2", "error: tau2 " + _DELAY, "error: tau2 " + _DELAY),
+    (["check-condition"], "--omega", _OMEGA, _OMEGA),
+    (["check-condition"], "--energies", _ENERGIES, _ENERGIES),
+    (["check-condition"], "--tolerance", "error: " + _TOL, "error: " + _TOL),
+]
+
+
+@pytest.mark.parametrize("value", list(SIGNED_VALUES))
+@pytest.mark.parametrize("argv, flag, refusal, thousand", NUMERIC_FLAGS,
+                         ids=[f"{row[0][0]}{row[1]}" for row in NUMERIC_FLAGS])
+def test_every_numeric_flag_reads_a_signed_value_as_float_does(
+        capsys, tmp_path, monkeypatch, argv, flag, refusal, thousand, value):
+    # argparse's pattern took -inf, -nan, -Infinity and -1_000 for flags and failed with
+    # "expected one argument"; each must reach the flag's own check, or run.
+    monkeypatch.chdir(tmp_path)
+    message = thousand if value == "-1_000" else refusal
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    if message is None:
+        assert (code, err) == (0, "")
+        assert json.loads(out)[flag[2:]] in (-1000.0, statevec.wrap_phase(-1000.0))
+    else:
+        rule = "finite" if value != "-1_000" else "positive"
+        expected = message.format(v=SIGNED_VALUES[value], raw=value, rule=rule, flag=flag)
+        assert (code, out, err) == (1, "", expected + "\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["shor-demo", "--omega", "-1,inf,3,4"], "config error: expected four finite qubit frequencies"),
+    (["sweep", *_GRID, "--omega", "-1,inf,3,4"], "error: expected four finite qubit frequencies"),
+    (["check-condition", "--omega", "-1,inf,3,4"], "error: expected four finite qubit frequencies"),
+    (["pulse", "--rabi", "1", "--energies", "-inf,1"], "error: e_k must be finite"),
+], ids=["shor-demo", "sweep", "check-condition", "pulse"])
+def test_a_list_flag_reads_a_signed_non_finite_entry(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (1, "", message + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +813,26 @@ def test_sweep_error_text(capsys, tmp_path, flags, message):
     code, out, err = run_cli(capsys, "sweep", *flags, "--tau2-start", "0", "--tau2-stop", "1",
                              "--tau2-count", "2", "--out", str(out_path))
     assert (code, out, err) == (1, "", message)
+    assert not out_path.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, message", [
+    (["--tau1-start", "0", "--tau1-stop", "inf"], "tau1 must be finite and non-negative, got inf"),
+    (["--tau1-start", "inf", "--tau1-stop", "1"], "tau1 must be finite and non-negative, got inf"),
+    (["--tau1-start", "-1e308", "--tau1-stop", "1e308"],
+     "tau1 must be finite and non-negative, got -1e+308"),
+    (["--tau1-start", "-inf", "--tau1-stop", "1"], "tau1 must be finite and non-negative, got -inf"),
+    (["--tau1-start", "0", "--tau1-stop", "1", "--tau2-stop", "-inf"],
+     "tau2 must be finite and non-negative, got -inf"),
+], ids=["stop-inf", "start-inf", "span-overflows", "start-neg-inf", "tau2-stop-neg-inf"])
+def test_sweep_refuses_an_axis_whose_span_is_not_finite(capsys, tmp_path, flags, message):
+    # np.linspace used to warn and fill such an axis with NaN, and the refusal
+    # named a NaN delay that was never given.
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run_cli(capsys, "sweep", "--tau1-count", "3", "--tau2-start", "0",
+                             "--tau2-stop", "1", "--tau2-count", "1", *flags, "--out", str(out_path))
+    assert (code, out, err) == (1, "", f"config error: {message}\n")
     assert not out_path.exists()
 
 

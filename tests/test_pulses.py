@@ -367,6 +367,16 @@ def test_integrate_ode_refuses_divergence():
         pulses.integrate_ode(system, pulse, natural_init(1.0, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("step, text", [(math.inf, "finite, got inf"), (-math.inf, "finite, got -inf"),
+                                        (math.nan, "finite, got nan"), (0.0, "positive, got 0.0"),
+                                        (-0.1, "positive, got -0.1")])
+def test_integrate_ode_names_the_step_rule_a_step_fails(step, text):
+    # The tolerance's rule: an infinite step used to read "step must be positive, got inf".
+    pulse = PulseSpec(mode=PulseMode.COHERENT, rabi=1.0, tau=1.0)
+    with pytest.raises(ValueError, match=f"^step must be {text}$"):
+        pulses.integrate_ode(TwoLevelSystem(0.0, 1.0), pulse, natural_init(1.0, 0.0, 0.0), step)
+
+
 @pytest.mark.parametrize("step, refused", [(0.005, False), (0.00566, False), (0.006, True)])
 def test_integrate_ode_refuses_a_given_step_past_rk4_stability(step, refused):
     # rho = max(|E_k|, |E_p|) + rabi/2 = 500. Step 0.00566 alone gives

@@ -142,8 +142,9 @@ def test_free_evolve_refuses_overflowing_phase():
 @pytest.mark.filterwarnings("error")
 def test_one_spectrum_batch_names_its_first_bad_row_not_its_smallest_delay():
     # Each distinct delay is exponentiated once, in sorted order; the refusal
-    # still reads the rows in order. E[1]*1e300 overflows first, while in the
-    # 5e299 rows E[2] is the first to overflow.
+    # still reads the rows in order. E[1]*5e299 overflows as E[1]*1e300 does,
+    # so every bad row reads E = 1e9: only dt tells the first row (1e300) from
+    # the smallest bad delay (5e299).
     spectrum = np.arange(16) * 1e9
     dts = np.array([1.0, 1e300, 5e299, 1e300, 5e299])
     message = r"E = 1000000000\.0, dt = 1e\+300$"

@@ -119,11 +119,13 @@ BASE = [
     ("err-none", []),
     ("err-unknown-cmd", ["frobnicate"]),
     ("err-neg-delay", ["shor-demo", "--tau1", "-1"]),
+    ("err-flag-neg-inf", ["check-condition", "--tau1", "-inf"]),
     ("err-unknown-flag", ["shor-demo", "--frequency", "3"]),
     ("err-omega-energies", ["shor-demo", "--omega", "1,2,3,4", "--energies", ",".join(["0"] * 16)]),
     ("err-omega-count", ["shor-demo", "--omega", "1,2,3"]),
     ("err-omega-text", ["shor-demo", "--omega", "a,b,c,d"]),
     ("err-omega-nan", ["shor-demo", "--omega", "nan,1,2,3"]),
+    ("err-omega-neg-inf", ["shor-demo", "--omega", "-1,inf,3,4"]),
     ("err-energies-count", ["shor-demo", "--energies", "1,2"]),
     ("err-missing-config", ["shor-demo", "--config", "nope.cfg"]),
     ("err-bad-key", ["shor-demo", "--config", "bad_key.cfg"]),
@@ -149,6 +151,7 @@ BASE = [
     ("err-pulse-duration0", ["pulse", "--mode", "coherent", "--area", "1", "--duration", "0"]),
     ("err-pulse-energies", ["pulse", "--rabi", "1", "--energies", "1"]),
     ("err-pulse-step0", ["pulse", "--rabi", "1", "--step", "0"]),
+    ("err-pulse-step-inf", ["pulse", "--rabi", "1", "--step", "inf"]),
     ("err-pulse-negrabi", ["pulse", "--rabi", "-1"]),
     ("err-pulse-inf", ["pulse", "--rabi", "1", "--t0", "inf"]),
     ("err-cond-neg", ["check-condition", "--tau1", "-1"]),
@@ -164,6 +167,8 @@ BASE = [
     ("err-sweep-both", ["sweep", *SW, "--omega", "1,2,3,4", "--energies", E16, "--out", "g.csv"]),
     ("err-sweep-neg", ["sweep", "--tau1-start", "-1", "--tau1-stop", "1", "--tau1-count", "2",
                        "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "1", "--out", "g.csv"]),
+    ("err-sweep-stop-inf", ["sweep", "--tau1-start", "0", "--tau1-stop", "inf", "--tau1-count", "3",
+                            "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "1", "--out", "g.csv"]),
     ("err-sweep-tol0", ["sweep", *SW, "--tolerance", "0", "--out", "g.csv"]),
     ("err-sweep-missing", ["sweep", "--out", "g.csv"]),
     ("err-sweep-omega", ["sweep", *SW, "--omega", "1,x,3,4", "--out", "g.csv"]),
