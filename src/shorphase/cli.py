@@ -246,14 +246,19 @@ def _pulse_result(args) -> dict:
         rabi = duration = phase = ode_discrepancy = phase_error = None
         area = float(args.area)
     else:
-        duration = args.duration if args.duration is not None else 1.0
+        duration = 1.0 if args.duration is None else args.duration
+        duration = pulses._finite(duration, "duration", non_negative=True)
         phase = args.phase if args.phase is not None else 0.5 * math.pi
         if args.area is not None and args.rabi is not None:
             raise UsageError("give --area or --rabi, not both")
         if args.area is not None:
+            area = pulses._finite(args.area, "area", non_negative=True)
             if duration <= 0:
                 raise UsageError("--area needs a positive --duration")
-            rabi = 2.0 * args.area / duration
+            rabi = 2.0 * area / duration
+            if not math.isfinite(rabi):
+                raise UsageError(f"--area {area!r} over --duration {duration!r} overflows: "
+                                 f"rabi = 2*area/duration is not finite")
         elif args.rabi is not None:
             rabi = args.rabi
         else:

@@ -374,6 +374,32 @@ def test_pulse_refuses_a_clock_that_cannot_advance(tmp_path):
     assert proc.stderr == "error: RK4 clock cannot advance: t0 + dt == t0 for t0 = 1e+300, dt = 0.001\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--area", "-inf"], "area must be finite"),
+    (["--area", "nan"], "area must be finite"),
+    (["--area", "-1"], "area must be non-negative, got -1.0"),
+    (["--area", "1e308", "--duration", "0.5"],
+     "--area 1e+308 over --duration 0.5 overflows: rabi = 2*area/duration is not finite"),
+    (["--area", "1", "--duration", "5e-324"],
+     "--area 1.0 over --duration 5e-324 overflows: rabi = 2*area/duration is not finite"),
+    (["--area", "1", "--duration", "-inf"], "duration must be finite"),
+    (["--rabi", "1", "--duration", "-inf"], "duration must be finite"),
+    (["--rabi", "1", "--duration", "-1_000"], "duration must be non-negative, got -1000.0"),
+])
+def test_pulse_names_the_flag_it_refuses(capsys, flags, message):
+    # A resonant --area became rabi = 2*area/duration before any check, so these
+    # read "rabi must be finite" or named the library's "tau", not the flag given.
+    assert run_cli(capsys, "pulse", *flags) == (1, "", f"error: {message}\n")
+
+
+def test_noncoherent_pulse_at_a_late_start_agrees_with_its_oracle(capsys):
+    # The integrator's stepped clock lost the drive's phase at t0 = 1e13 (0.72).
+    # A noncoherent drive is referenced to t0, so no rounding of w*t0 enters.
+    code, out, _ = run_cli(capsys, "pulse", "--mode", "noncoherent", "--area", "1", "--t0", "1e13")
+    assert code == 0
+    assert json.loads(out)["ode_discrepancy"] <= 1e-6
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--tau1-start", "-1e308", "--tau1-stop", "1", "--tau1-count", "2",
       "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "2", "--out", "grid.csv"],
@@ -473,8 +499,8 @@ NUMERIC_FLAGS = [
     (["shor-demo"], "--omega", _OMEGA, _OMEGA),
     (["shor-demo"], "--energies", _ENERGIES, _ENERGIES),
     (["pulse"], "--rabi", "error: rabi must be finite", "error: rabi must be non-negative, got -1000.0"),
-    (["pulse", "--rabi", "1"], "--duration", "error: tau must be finite",
-     "error: tau must be non-negative, got -1000.0"),
+    (["pulse", "--rabi", "1"], "--duration", "error: duration must be finite",
+     "error: duration must be non-negative, got -1000.0"),
     (["pulse", "--mode", "sudden"], "--area", "error: area must be finite", None),
     (["pulse", "--rabi", "1"], "--t0", "error: t0 must be finite", None),
     (["pulse", "--rabi", "1"], "--phase", "error: phase must be finite", None),

@@ -1,17 +1,19 @@
 """Property checks over random spectra and delays; derandomized, so every run draws the same."""
 
+import cmath
 import contextlib
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import idx
-from shorphase import cli, shor, statevec, transforms
+from shorphase import cli, pulses, shor, statevec, transforms
 from shorphase.config import DelaySchedule, ExperimentConfig, PipelineMode
-from shorphase.pulses import PulseMode
+from shorphase.pulses import PulseMode, PulseSpec, TwoLevelState, TwoLevelSystem, natural_init
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -184,6 +186,92 @@ def test_pulse_runs_a_given_step_only_inside_rk4_stability(mode, e_k, e_p, log_r
     assert code == cli.EXIT_OK, code
     dt = duration / max(1, math.ceil(duration / step))
     assert (max(abs(e_k), abs(e_p)) + 0.5 * rabi) * dt <= 2.0 * math.sqrt(2.0)
+
+
+def rk4_loop(system: TwoLevelSystem, pulse: PulseSpec, init: TwoLevelState, step) -> tuple:
+    """``integrate_ode`` restated: its refusals, then one RK4 step at a time.
+
+    Each stage time is t0 + n*dt, computed afresh, so no clock accumulates.
+    """
+    if step is not None and not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be {'positive' if math.isfinite(step) else 'finite'}, got {step}")
+    tau, given = pulse.tau, step is not None
+    if tau == 0.0:
+        return init.c_k, init.c_p
+    step = step if given else tau / 1000.0
+    needed = tau / step if step > 0 else math.inf
+    if not needed <= pulses._MAX_STEPS:
+        raise ValueError(f"tau = {tau!r} in steps of {step!r} needs {needed:.3g} RK4 steps, "
+                         f"more than the limit of {pulses._MAX_STEPS}")
+    n_steps = max(1, math.ceil(needed))
+    dt = tau / n_steps
+    rho = max(abs(system.e_k), abs(system.e_p)) + 0.5 * pulse.rabi
+    if given and rho * dt > 2.0 * math.sqrt(2.0):
+        raise ValueError(f"step {step!r} is past RK4's stability limit: rho*dt = {rho * dt:.3g} > "
+                         f"2*sqrt(2) for rho = max(|E_k|, |E_p|) + rabi/2 = {rho!r}")
+    if pulse.t0 + dt == pulse.t0:
+        raise ValueError(f"RK4 clock cannot advance: t0 + dt == t0 for t0 = {pulse.t0!r}, dt = {dt!r}")
+    origin = pulse.t0 if pulse.mode is PulseMode.NONCOHERENT else 0.0
+
+    def rhs(t, a, b):
+        drive = cmath.exp(1j * (system.omega_pk * (t - origin) + pulse.phase))
+        return (-1j * system.e_k * a + 0.5j * pulse.rabi * drive * b,
+                -1j * system.e_p * b + 0.5j * pulse.rabi * drive.conjugate() * a)
+
+    a, b = init.c_k, init.c_p
+    for n in range(n_steps):
+        k1 = rhs(pulse.t0 + n * dt, a, b)
+        k2 = rhs(pulse.t0 + (n + 0.5) * dt, a + 0.5 * dt * k1[0], b + 0.5 * dt * k1[1])
+        k3 = rhs(pulse.t0 + (n + 0.5) * dt, a + 0.5 * dt * k2[0], b + 0.5 * dt * k2[1])
+        k4 = rhs(pulse.t0 + (n + 1) * dt, a + dt * k3[0], b + dt * k3[1])
+        a, b = (y + dt / 6.0 * (p + 2.0 * q + 2.0 * r + s) for y, p, q, r, s in zip((a, b), k1, k2, k3, k4))
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise ValueError(f"integration diverged: non-finite amplitude after {n_steps} RK4 steps "
+                         f"of dt = {dt!r}")
+    return a, b
+
+
+#: A given step: tau over a step count that runs (at most 2000) or passes the
+#: 10^7 cap, or a step the step rule refuses; None is the default tau/1000.
+STEP_COUNTS = st.one_of(st.none(), st.floats(1.0, 2000.0), st.one_of(
+    st.floats(2e7, 1e12), st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan]).map(lambda v: ("step", v))))
+#: Normalized amplitudes with population in |p>, or None for the natural |k> start.
+GENERAL_INITS = st.one_of(st.none(), st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda v: any(v)))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@hypothesis.given(st.sampled_from([m for m in PulseMode if m is not PulseMode.SUDDEN]),
+                  st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-3.0, 2.0),
+                  st.one_of(st.floats(-100.0, 100.0), st.floats(100.0, 1e6), st.floats(-1e6, -100.0)),
+                  st.floats(1e-3, 10.0), st.floats(-math.pi, math.pi), GENERAL_INITS, STEP_COUNTS)
+@hypothesis.example(PulseMode.COHERENT, 1.0, 3.0, 30.0, 0.0, 1.0, 0.0, None, None)  # diverges
+@hypothesis.example(PulseMode.NONCOHERENT, 1.0, 3.0, 0.3, 1e17, 1.0, 0.0, None, None)  # clock stuck
+@hypothesis.example(PulseMode.NONCOHERENT, 1.0, 3.0, 0.3, -0.0, 0.0, 0.0, (0.6, 0.0, 0.0, 0.8), None)  # tau = 0
+def test_integrate_ode_is_the_rk4_loop(mode, e_k, e_p, log_rabi, t0, tau, phase, general, count):
+    # The matrix power is the loop's scheme with other rounding: within 1e-10 for
+    # |t0| <= 100. Past that the loop rounds the drive argument w*(t - origin) at
+    # every stage by about eps*|w|*(|t0| + tau), which moves the amplitudes by up
+    # to (1 + rabi*tau) times that. Either side's refusal is the other's, word for word.
+    system, rabi = TwoLevelSystem(e_k, e_p), 10.0 ** log_rabi
+    pulse = PulseSpec(mode=mode, rabi=rabi, t0=t0, tau=tau, phase=phase)
+    if general is None:
+        init = natural_init(1.0, e_k, t0)
+    else:
+        norm = math.hypot(*general)
+        init = TwoLevelState(complex(*general[:2]) / norm, complex(*general[2:]) / norm)
+    step = count[1] if isinstance(count, tuple) else None if count is None else tau / count
+    try:
+        expected = rk4_loop(system, pulse, init, step)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            pulses.integrate_ode(system, pulse, init, step)
+        assert str(refused.value) == str(exc)
+        return
+    out = pulses.integrate_ode(system, pulse, init, step)
+    bound = 1e-10
+    if abs(t0) > 100.0:
+        bound += 4 * sys.float_info.epsilon * abs(system.omega_pk) * (abs(t0) + tau) * (1 + rabi * tau)
+    assert max(abs(out.c_k - expected[0]), abs(out.c_p - expected[1])) <= bound
 
 
 #: Qubit frequencies of either sign, signed zeros and magnitudes up to 1e300.

@@ -323,30 +323,30 @@ def test_ode_rejects_bad_step_and_sudden_mode():
 # (mode, rabi, t0, tau, phase, init, step) and float.hex of Re/Im of c_k, c_p.
 PINNED_ODE_BITS = [
     ((PulseMode.COHERENT, 1.9, 0.35, 1.3, 0.4, natural_init(0.8, 0.7, 0.35), None),
-     ("0x1.b4241cb728ad5p-4", "-0x1.ede2e3627319ep-3", "-0x1.5854e29af0539p-1",
-      "0x1.60151e2125c97p-2")),
+     ("0x1.b4241cb72883fp-4", "-0x1.ede2e36272e59p-3", "-0x1.5854e29af03f4p-1",
+      "0x1.60151e2125c8bp-2")),
     ((PulseMode.NONCOHERENT, 2.6, -0.45, 0.8, -2.2, natural_init(1.0, 0.7, -0.45), None),
-     ("0x1.f6e3bf9727635p-2", "-0x1.f6ef6c3ccf08dp-4", "-0x1.563b300543aefp-3",
-      "0x1.b12ebb3d88e86p-1")),
+     ("0x1.f6e3bf9727ac2p-2", "-0x1.f6ef6c3ccf4f0p-4", "-0x1.563b300543d20p-3",
+      "0x1.b12ebb3d88fdbp-1")),
     ((PulseMode.PHASE_CORRECTED, 0.9, 1.7, 2.1, 1.3, natural_init(0.6, 0.7, 1.7), None),
-     ("-0x1.3ef27083f4397p-2", "-0x1.4d630e65d04ddp-3", "-0x1.e5ca60f1c4052p-4",
-      "0x1.e2eebfecbca16p-2")),
+     ("-0x1.3ef27083f43ffp-2", "-0x1.4d630e65d04fap-3", "-0x1.e5ca60f1c3f42p-4",
+      "0x1.e2eebfecbca6bp-2")),
     ((PulseMode.COHERENT, 3.0, -0.2, 0.9, -1.1, TwoLevelState(0.6 + 0.1j, -0.3 + 0.72j), None),
-     ("0x1.1822e7b92a97dp-2", "0x1.5ef9cb2ed629bp-1", "0x1.34dededfee0d3p-1",
-      "0x1.0e639fd8fb407p-2")),
+     ("0x1.1822e7b92ab00p-2", "0x1.5ef9cb2ed63e3p-1", "0x1.34dededfee1c4p-1",
+      "0x1.0e639fd8fb517p-2")),
     ((PulseMode.NONCOHERENT, 2.4, 0.5, 1.1, 2.0, natural_init(1.0, 0.7, 0.5), 0.0037),
-     ("0x1.bae200606bd75p-4", "-0x1.c97cf0778f08dp-3", "-0x1.4f9987f19d842p-1",
-      "0x1.6d333829a266dp-1")),
+     ("0x1.bae200606bf39p-4", "-0x1.c97cf0778efd8p-3", "-0x1.4f9987f19d8e4p-1",
+      "0x1.6d333829a26dcp-1")),
     ((PulseMode.PHASE_CORRECTED, 1.4, -2.3, 1.6, -0.6, natural_init(0.9, 0.7, -2.3), 0.011),
-     ("0x1.624756b075634p-2", "0x1.79efa2cd04fc3p-3", "-0x1.961c86075eaa2p-2",
-      "-0x1.69a97cb4e17a4p-1")),
+     ("0x1.624756b07569ap-2", "0x1.79efa2cd04fc8p-3", "-0x1.961c86075eb14p-2",
+      "-0x1.69a97cb4e1795p-1")),
     ((PulseMode.NONCOHERENT, 2.2, -37.5, 0.7, 2.8, natural_init(1.0, 0.7, -37.5), None),
-     ("0x1.29997158c1eb7p-1", "0x1.af79676a822fap-2", "-0x1.815c98ba61d72p-2",
-      "-0x1.2bd9abffe5635p-1")),
+     ("0x1.29997158c15cep-1", "0x1.af79676a8382ap-2", "-0x1.815c98ba5c3f5p-2",
+      "-0x1.2bd9abffe701cp-1")),
     # t0 = -0.0: the drive time origin is -0.0 here and 0.0 in the other resonant modes.
     ((PulseMode.NONCOHERENT, 1.7, -0.0, 1.2, -0.9, TwoLevelState(0.5 - 0.2j, 0.64 + 0.55j), None),
-     ("0x1.6d28c3d466fdcp-1", "0x1.afbd71c492de4p-4", "-0x1.50c527d0d1311p-2",
-      "-0x1.393053b848c3dp-1")),
+     ("0x1.6d28c3d466f3ap-1", "0x1.afbd71c493674p-4", "-0x1.50c527d0d160cp-2",
+      "-0x1.393053b848cbfp-1")),
 ]
 
 
@@ -403,6 +403,20 @@ def test_integrate_ode_refuses_unfinishable_step_counts(monkeypatch):
     for tau, step in ((1.0, 0.0099), (1.0, 1e-300), (1e10, 5e-324), (5e-324, None)):
         with pytest.raises(ValueError, match="RK4 steps, more than the limit of 100$"):
             pulses.integrate_ode(system, dataclasses.replace(pulse, tau=tau), init, step)
+
+
+@pytest.mark.parametrize("mode", [PulseMode.COHERENT, PulseMode.NONCOHERENT,
+                                  PulseMode.PHASE_CORRECTED])
+def test_integrate_ode_takes_the_step_cap_in_one_call(mode):
+    # 10^7 steps, the most it takes, as a matrix power: no minute of stepping,
+    # and the truncation error is far below rounding.
+    system = TwoLevelSystem(0.7, 2.9)
+    pulse = PulseSpec(mode=mode, rabi=1.9, t0=0.35, tau=1.0, phase=0.4)
+    assert math.ceil(pulse.tau / 1e-7) == pulses._MAX_STEPS
+    init = natural_init(1.0, 0.7, 0.35)
+    ode = pulses.integrate_ode(system, pulse, init, 1e-7)
+    exact = getattr(pulses, f"evolve_{mode.name.lower()}")(system, pulse, init)
+    assert max(abs(ode.c_k - exact.c_k), abs(ode.c_p - exact.c_p)) <= 1e-8
 
 
 def test_integrate_ode_refuses_a_clock_that_cannot_advance():

@@ -10,8 +10,10 @@ workload, from the ``bench`` next to this script, so both trees see the same
 requests). Each tree runs them in its own child interpreter with its ``src``
 on the path. The script prints how many cases differ in the ``float.hex`` of
 an output amplitude (or in the error message of a refused case), and how many
-requests differ in exit code, stdout or stderr through ``cli.main``. It exits 1
-on any difference.
+requests differ in exit code, stdout or stderr through ``cli.main``. When the
+trees differ, its last line also gives the size of the difference: the largest
+amplitude gap over the cases both trees computed, and the largest change in a
+request's printed ``ode_discrepancy``. It exits 1 on any difference.
 """
 import argparse
 import json
@@ -84,6 +86,26 @@ def run_tree(tree: str, seed: int, cases: Path, out: Path) -> dict:
         return json.load(f)
 
 
+def largest_amplitude_gap(a: list, b: list) -> float:
+    """Largest |change| of c_k or c_p over the cases that neither tree refused."""
+    def amplitudes(bits):
+        re_k, im_k, re_p, im_p = map(float.fromhex, bits)
+        return complex(re_k, im_k), complex(re_p, im_p)
+    return max((abs(x - y) for p, c in zip(a, b) if not isinstance(p, str) and not isinstance(c, str)
+                for x, y in zip(amplitudes(p), amplitudes(c))), default=0.0)
+
+
+def largest_discrepancy_change(a: list, b: list) -> float:
+    """Largest |change| of ``ode_discrepancy`` over the requests that printed one in both trees."""
+    def discrepancy(request):
+        try:
+            return json.loads(request[1])["ode_discrepancy"]
+        except ValueError:  # a refusal prints nothing, and a CSV report is not JSON
+            return None
+    pairs = ((discrepancy(p), discrepancy(c)) for p, c in zip(a, b))
+    return max((abs(x - y) for x, y in pairs if x is not None and y is not None), default=0.0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -107,7 +129,11 @@ def main(argv=None) -> int:
           f"{request_diffs} differ in exit code, stdout or stderr")
     failed = ode_diffs + request_diffs > 0 or len(a["ode"]) != len(b["ode"]) \
         or len(a["requests"]) != len(b["requests"])
-    print("differ" if failed else "match")
+    if failed:
+        print(f"differ: largest amplitude gap {largest_amplitude_gap(a['ode'], b['ode']):.3g}, largest "
+              f"ode_discrepancy change {largest_discrepancy_change(a['requests'], b['requests']):.3g}")
+    else:
+        print("match")
     return 1 if failed else 0
 
 
