@@ -164,11 +164,6 @@ def _spectrum_flags(args) -> dict:
     return {}
 
 
-def _spectrum_table(args) -> tuple[float, ...]:
-    flags = _spectrum_flags(args)
-    return statevec._energy_table(flags.get("omega", flags.get("energies", statevec.DEFAULT_OMEGAS)))
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text)
     sys.stdout.flush()
@@ -179,8 +174,9 @@ def _emit(text: str) -> None:
 
 
 def _assemble_config(args) -> ExperimentConfig:
+    """The config of shor-demo, check-condition or sweep: its file, then its flags, then its format."""
     settings: dict = {}
-    if args.config is not None:
+    if getattr(args, "config", None) is not None:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
@@ -195,9 +191,11 @@ def _assemble_config(args) -> ExperimentConfig:
 
     # Each of these flags has its settings key as its dest.
     for key in ("mode", "tau1", "tau2", "seed", "retry_cap", "tolerance"):
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:
             settings[key] = getattr(args, key)
-    settings["format"] = _format(args, settings.get("format"))
+    # A sweep's --out suffix names its format; no other subcommand has --out.
+    suffix = {".json": "json", ".csv": "csv"}.get(Path(getattr(args, "out", "")).suffix.lower())
+    settings["format"] = _format(args, settings.get("format", suffix))
     return build_config(settings)
 
 
@@ -305,13 +303,10 @@ def cmd_pulse(args) -> int:
 
 
 def cmd_check_condition(args) -> int:
-    try:
-        delays = DelaySchedule(args.tau1, args.tau2)
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from None
-    residual = shor.check_condition(_spectrum_table(args), delays, args.tolerance)
-    result = {"tau1": delays.tau1, "tau2": delays.tau2, **dataclasses.asdict(residual)}
-    _emit(_render(_format(args), CONDITION_CSV_COLUMNS, result))
+    config = _assemble_config(args)
+    residual = shor.check_condition(config.spectrum, config.delays, config.tolerance)
+    result = {"tau1": config.delays.tau1, "tau2": config.delays.tau2, **dataclasses.asdict(residual)}
+    _emit(_render(config.output_format, CONDITION_CSV_COLUMNS, result))
     return EXIT_OK
 
 
@@ -350,22 +345,19 @@ def _cells(column: np.ndarray) -> list:
 
 def _sweep_rows(args, config: ExperimentConfig):
     """The grid's rows as cell text, row-major with tau1 outer, for the shared ``config``."""
-    for axis in ("tau1", "tau2"):
-        ends = getattr(args, f"{axis}_start"), getattr(args, f"{axis}_stop")
-        if not math.isfinite(ends[1] - ends[0]):
-            # np.linspace would warn and fill the axis with NaN: name the end that is not a delay.
-            bad = next(end for end in ends if not 0.0 <= end < math.inf)
-            DelaySchedule(**{"tau1": 0.0, "tau2": 0.0, axis: bad})
-    taus1 = np.linspace(args.tau1_start, args.tau1_stop, args.tau1_count)
-    taus2 = np.linspace(args.tau2_start, args.tau2_stop, args.tau2_count)
+    axes = {axis: [getattr(args, f"{axis}_{part}") for part in ("start", "stop", "count")]
+            for axis in ("tau1", "tau2")}
+    # The axis ends are delay settings, checked before any point: tau1's start and stop, then tau2's.
+    for axis, (start, stop, _) in axes.items():
+        for end in (start, stop):
+            DelaySchedule(**{"tau1": 0.0, "tau2": 0.0, axis: end})
+    # Between two valid ends linspace rounds a point below zero only at subnormal
+    # scale; such a point reads 0.0, and a -0.0 stays as it is.
+    taus1, taus2 = (np.where(taus < 0.0, 0.0, taus)
+                    for taus in itertools.starmap(np.linspace, axes.values()))
     tau1, tau2 = np.repeat(taus1, taus2.size), np.tile(taus2, taus1.size)
-    bad = np.flatnonzero(~(np.isfinite(tau1) & (tau1 >= 0.0) & np.isfinite(tau2) & (tau2 >= 0.0)))
-    end = int(bad[0]) if bad.size else tau1.size
-    chunks = [_sweep_chunk(config, tau1[start:end][:_SWEEP_CHUNK], tau2[start:end][:_SWEEP_CHUNK])
-              for start in range(0, end, _SWEEP_CHUNK)]
-    if bad.size:
-        # No earlier point failed: this raises with the schedule's message.
-        DelaySchedule(float(tau1[end]), float(tau2[end]))
+    chunks = [_sweep_chunk(config, tau1[start:start + _SWEEP_CHUNK], tau2[start:start + _SWEEP_CHUNK])
+              for start in range(0, tau1.size, _SWEEP_CHUNK)]
     return zip(*map(_cells, (tau1, tau2, *map(np.concatenate, zip(*chunks)))))
 
 
@@ -373,15 +365,13 @@ def cmd_sweep(args) -> int:
     for name in ("tau1_count", "tau2_count"):
         if getattr(args, name) < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be at least 1")
-    # Every setting is checked before any point is computed: the spectrum, the
-    # format, then the tolerance; a failing point is met last.
-    spectrum = _spectrum_table(args)
-    fmt = _format(args, {".json": "json", ".csv": "csv"}.get(Path(args.out).suffix.lower()))
-    rows = _sweep_rows(args, ExperimentConfig(mode=args.mode or PipelineMode.FREE_EVOLUTION,
-                                              spectrum=spectrum, tolerance=args.tolerance))
+    # Every setting is checked before any point is computed: the counts, the spectrum
+    # flags, the format, the config's values, then the axis ends.
+    config = _assemble_config(args)
+    rows = _sweep_rows(args, config)
     # The text of csv.writer (no sweep cell needs quoting) or of json.dumps(rows, indent=2):
     # head, each row's text joined by sep, tail.
-    if fmt == "csv":
+    if config.output_format == "csv":
         head, text, sep, tail = ",".join(SWEEP_CSV_COLUMNS) + "\n", ",".join, "\n", "\n"
     else:
         row = "  {\n" + ",\n".join(f"    {json.dumps(c)}: %s" for c in SWEEP_CSV_COLUMNS) + "\n  }"

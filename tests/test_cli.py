@@ -407,7 +407,7 @@ def test_noncoherent_pulse_at_a_late_start_agrees_with_its_oracle(capsys):
     (["shor-demo", "--tau2", "-1E-3"],
      "config error: tau2 must be finite and non-negative, got -0.001\n"),
     (["check-condition", "--tau1", "-2.5e2"],
-     "error: tau1 must be finite and non-negative, got -250.0\n"),
+     "config error: tau1 must be finite and non-negative, got -250.0\n"),
 ], ids=["sweep", "shor-demo", "check-condition"])
 def test_negative_exponent_values_reach_validation(capsys, tmp_path, monkeypatch, argv, message):
     # argparse's default negative-number pattern takes "-1e308" for a flag and
@@ -515,11 +515,11 @@ NUMERIC_FLAGS = [
     (["sweep", *_GRID], "--omega", _OMEGA, _OMEGA),
     (["sweep", *_GRID], "--energies", _ENERGIES, _ENERGIES),
     (["sweep", *_GRID], "--tolerance", "config error: " + _TOL, "config error: " + _TOL),
-    (["check-condition"], "--tau1", "error: tau1 " + _DELAY, "error: tau1 " + _DELAY),
-    (["check-condition"], "--tau2", "error: tau2 " + _DELAY, "error: tau2 " + _DELAY),
+    (["check-condition"], "--tau1", "config error: tau1 " + _DELAY, "config error: tau1 " + _DELAY),
+    (["check-condition"], "--tau2", "config error: tau2 " + _DELAY, "config error: tau2 " + _DELAY),
     (["check-condition"], "--omega", _OMEGA, _OMEGA),
     (["check-condition"], "--energies", _ENERGIES, _ENERGIES),
-    (["check-condition"], "--tolerance", "error: " + _TOL, "error: " + _TOL),
+    (["check-condition"], "--tolerance", "config error: " + _TOL, "config error: " + _TOL),
 ]
 
 
@@ -544,13 +544,32 @@ def test_every_numeric_flag_reads_a_signed_value_as_float_does(
 
 @pytest.mark.parametrize("argv, message", [
     (["shor-demo", "--omega", "-1,inf,3,4"], "config error: expected four finite qubit frequencies"),
-    (["sweep", *_GRID, "--omega", "-1,inf,3,4"], "error: expected four finite qubit frequencies"),
-    (["check-condition", "--omega", "-1,inf,3,4"], "error: expected four finite qubit frequencies"),
+    (["sweep", *_GRID, "--omega", "-1,inf,3,4"], "config error: expected four finite qubit frequencies"),
+    (["check-condition", "--omega", "-1,inf,3,4"], "config error: expected four finite qubit frequencies"),
     (["pulse", "--rabi", "1", "--energies", "-inf,1"], "error: e_k must be finite"),
 ], ids=["shor-demo", "sweep", "check-condition", "pulse"])
 def test_a_list_flag_reads_a_signed_non_finite_entry(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, *argv) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tau1", "-1"], "tau1 must be finite and non-negative, got -1.0"),
+    (["--tolerance", "0"], "tolerance must be positive, got 0.0"),
+    (["--omega", "-1,inf,3,4"], "expected four finite qubit frequencies"),
+    (["--energies", ",".join(["nan"] * 16)], "spectrum entries must be finite"),
+], ids=["tau1", "tolerance", "omega", "energies"])
+@pytest.mark.parametrize("command", ["shor-demo", "check-condition", "sweep"])
+def test_one_settings_rule_reads_one_refusal_in_every_pipeline_command(
+        capsys, tmp_path, monkeypatch, command, flags, message):
+    # The three commands read their settings through one config, so a bad value
+    # is one config error wherever it is given. A sweep's tau1 is its axis start.
+    monkeypatch.chdir(tmp_path)
+    if command == "sweep":
+        flags = ["--tau1-start" if flag == "--tau1" else flag for flag in flags]
+    argv = [command, *(_GRID if command == "sweep" else []), *flags]
+    assert run_cli(capsys, *argv) == (1, "", f"config error: {message}\n")
+    assert not (tmp_path / "grid.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +616,13 @@ def test_check_condition_satisfied_within_float_resolution(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["check-condition", "--tolerance", "0"], "error: tolerance must be positive, got 0.0\n"),
-    (["check-condition", "--tolerance=-1e-9"], "error: tolerance must be positive, got -1e-09\n"),
+    (["check-condition", "--tolerance", "0"], "config error: tolerance must be positive, got 0.0\n"),
+    (["check-condition", "--tolerance=-1e-9"], "config error: tolerance must be positive, got -1e-09\n"),
     (["shor-demo", "--tolerance", "0"], "config error: tolerance must be positive, got 0.0\n"),
     (["shor-demo", "--tolerance", "nan"], "config error: tolerance must be finite, got nan\n"),
 ])
 def test_tolerance_rule_reads_the_same_in_both_reports(capsys, argv, message):
-    # One rule: a config reports it as a config error, check-condition as an error.
+    # One rule: both commands refuse the tolerance as a config value, with one prefix.
     assert run_cli(capsys, *argv) == (1, "", message)
 
 
@@ -611,7 +630,7 @@ def test_tolerance_rule_reads_the_same_in_both_reports(capsys, argv, message):
 def test_check_condition_refuses_non_finite_tolerance(capsys, tolerance):
     # With tau1 = 1 both residuals are 2.3; an infinite tolerance used to pass them.
     code, out, err = run_cli(capsys, "check-condition", "--tolerance", tolerance, "--tau1", "1")
-    assert (code, out, err) == (1, "", f"error: tolerance must be finite, got {tolerance}\n")
+    assert (code, out, err) == (1, "", f"config error: tolerance must be finite, got {tolerance}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -859,6 +878,44 @@ def test_sweep_refuses_an_axis_whose_span_is_not_finite(capsys, tmp_path, flags,
     code, out, err = run_cli(capsys, "sweep", "--tau1-count", "3", "--tau2-start", "0",
                              "--tau2-stop", "1", "--tau2-count", "1", *flags, "--out", str(out_path))
     assert (code, out, err) == (1, "", f"config error: {message}\n")
+    assert not out_path.exists()
+
+
+def test_a_one_point_axis_checks_its_unused_stop(capsys, tmp_path):
+    # Both ends of an axis are settings, though one point uses only the start.
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run_cli(capsys, "sweep", "--tau1-start", "0", "--tau1-stop", "-1",
+                             "--tau1-count", "1", "--tau2-start", "0", "--tau2-stop", "1",
+                             "--tau2-count", "2", "--out", str(out_path))
+    assert (code, out, err) == (1, "", "config error: tau1 must be finite and non-negative, got -1.0\n")
+    assert not out_path.exists()
+
+
+def test_a_point_rounded_below_zero_between_valid_ends_reads_zero(capsys, tmp_path):
+    # linspace rounds the fifth point of this axis to -5e-324, a delay nobody gave;
+    # the grid between two valid ends is written, with that point at 0.0.
+    assert np.linspace(1.5e-323, 0.0, 6)[4] == -5e-324
+    out_path = tmp_path / "grid.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--tau1-start", "1.5e-323", "--tau1-stop", "0",
+                         "--tau1-count", "6", "--tau2-start", "0", "--tau2-stop", "0",
+                         "--tau2-count", "1", "--out", str(out_path))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out_path.read_text())))[1:]
+    assert [row[0] for row in rows] == ["1.5e-323", "1e-323", "5e-324", "0.0", "0.0", "0.0"]
+
+
+def test_a_bad_axis_end_is_refused_before_a_point_that_overflows(capsys, tmp_path):
+    # The first point, tau1 = 1e300 over a flat 1e10 spectrum, overflows; the bad
+    # tau2 stop is a setting, so it is named first.
+    out_path = tmp_path / "grid.csv"
+    grid = ["sweep", "--tau1-start", "1e300", "--tau1-stop", "1e300", "--tau1-count", "2",
+            "--tau2-start", "0", "--tau2-count", "2", "--energies", ",".join(["1e10"] * 16),
+            "--out", str(out_path)]
+    code, out, err = run_cli(capsys, *grid, "--tau2-stop", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: state is not normalized: non-finite phase E*dt")
+    code, out, err = run_cli(capsys, *grid, "--tau2-stop", "-1")
+    assert (code, out, err) == (1, "", "config error: tau2 must be finite and non-negative, got -1.0\n")
     assert not out_path.exists()
 
 

@@ -2,10 +2,13 @@
 
 import cmath
 import contextlib
+import csv
 import io
 import json
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +116,33 @@ def test_cli_prints_finite_numbers_or_exits_1(command, energies, tau1, tau2):
         return
     assert code in (cli.EXIT_OK, cli.EXIT_NO_FACTOR), code
     assert all(math.isfinite(x) for x in floats_in(json.loads(out.getvalue())))
+
+
+#: Valid sweep axis ends: both signed zeros, subnormals and other tiny values, and values up to 1e300.
+AXIS_ENDS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-323, 1.5e-323, 2.2250738585072014e-308]),
+                      st.floats(0.0, 1e-300), st.floats(0.0, 1e300))
+AXES = st.tuples(AXIS_ENDS, AXIS_ENDS, st.integers(1, 50))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@hypothesis.given(AXES, AXES)
+@hypothesis.example((1.5e-323, 0.0, 6), (-0.0, 5e-324, 3))
+@hypothesis.example((-0.0, -0.0, 2), (0.0, -0.0, 2))
+def test_sweep_axes_are_linspace_with_points_below_zero_read_as_zero(axis1, axis2):
+    # Each axis of a written grid is np.linspace of its ends, bit for bit and
+    # -0.0 included, except that a point it rounds below zero reads 0.0.
+    argv = ["sweep", "--format", "csv"]
+    for name, (start, stop, count) in (("tau1", axis1), ("tau2", axis2)):
+        argv += [f"--{name}-start={start!r}", f"--{name}-stop={stop!r}", f"--{name}-count={count}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = Path(tmp, "grid.csv")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main([*argv, "--out", str(out_path)]) == cli.EXIT_OK
+        rows = list(csv.reader(io.StringIO(out_path.read_text())))[1:]
+    taus1, taus2 = (np.linspace(*axis) for axis in (axis1, axis2))
+    expected = zip(np.repeat(taus1, taus2.size).tolist(), np.tile(taus2, taus1.size).tolist())
+    assert [(float(row[0]).hex(), float(row[1]).hex()) for row in rows] == [
+        tuple((tau if tau >= 0.0 else 0.0).hex() for tau in pair) for pair in expected]
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)

@@ -5,9 +5,10 @@
 TREE is a checkout (its ``src`` goes on PYTHONPATH). Each invocation runs as
 its own interpreter in a fresh temporary directory holding the config files
 below; the exit code, stdout, stderr and every file it wrote are hashed into
-OUT.json, and one combined hash is printed. Two trees whose CLI behaves the
-same give the same combined hash; diff the two OUT.json files to find the
-invocations that differ.
+OUT.json, and one combined hash of those hashes is printed. Two trees whose CLI
+behaves the same give the same combined hash; diff the two OUT.json files to
+find the invocations that differ. OUT.json also keeps the stderr text of each
+``err-*`` invocation, so a moved refusal can be read; the text is not hashed.
 """
 import hashlib
 import json
@@ -172,6 +173,9 @@ BASE = [
     ("err-sweep-tol0", ["sweep", *SW, "--tolerance", "0", "--out", "g.csv"]),
     ("err-sweep-missing", ["sweep", "--out", "g.csv"]),
     ("err-sweep-omega", ["sweep", *SW, "--omega", "1,x,3,4", "--out", "g.csv"]),
+    ("err-sweep-omega-inf", ["sweep", *SW, "--omega", "-1,inf,3,4", "--out", "g.csv"]),
+    ("err-sweep-count1-stop", ["sweep", "--tau1-start", "0", "--tau1-stop", "-1", "--tau1-count", "1",
+                               "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "1", "--out", "g.csv"]),
     ("err-sweep-overflow-desc", ["sweep", "--tau1-start", "1e300", "--tau1-stop", "5e299", "--tau1-count", "3",
                                  "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "2",
                                  "--energies", ",".join(["1e10"] * 16), "--out", "g.csv"]),
@@ -200,7 +204,7 @@ def invocations() -> list[tuple[str, list[str], str | None]]:
                 and "--format" not in argv:
             runs.append((name + "@yaml", argv, "yaml"))
     errors = dict(BASE)
-    for name in ("err-neg-delay", "err-sweep-dir", "err-sweep-neg", "err-pulse-noarea"):
+    for name in ("err-neg-delay", "err-sweep-dir", "err-sweep-neg", "err-pulse-noarea", "err-cond-neg"):
         runs.append((name + "@yaml", errors[name], "yaml"))
     return runs
 
@@ -209,7 +213,7 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def run_one(tree: Path, argv: list[str], fmt: str | None) -> dict:
+def run_one(tree: Path, name: str, argv: list[str], fmt: str | None) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for fname, text in FILES.items():
             Path(tmp, fname).write_text(text)
@@ -221,15 +225,20 @@ def run_one(tree: Path, argv: list[str], fmt: str | None) -> dict:
                               capture_output=True)
         written = {p.name: digest(p.read_bytes()) for p in sorted(Path(tmp).rglob("*"))
                    if p.is_file() and p.name not in FILES}
-    return {"argv": argv, "env": fmt, "rc": proc.returncode,
-            "stdout": digest(proc.stdout), "stderr": digest(proc.stderr), "files": written}
+    result = {"argv": argv, "env": fmt, "rc": proc.returncode,
+              "stdout": digest(proc.stdout), "stderr": digest(proc.stderr), "files": written}
+    if name.startswith("err-"):
+        result["stderr_text"] = proc.stderr.decode(errors="replace")
+    return result
 
 
 def main() -> None:
     tree, out = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
-    results = {name: run_one(tree, argv, fmt) for name, argv, fmt in invocations()}
+    results = {name: run_one(tree, name, argv, fmt) for name, argv, fmt in invocations()}
     out.write_text(json.dumps(results, indent=1))
-    total = digest(json.dumps(results, sort_keys=True).encode())
+    hashed = {name: {k: v for k, v in result.items() if k != "stderr_text"}
+              for name, result in results.items()}
+    total = digest(json.dumps(hashed, sort_keys=True).encode())
     print(f"{len(results)} invocations, combined hash {total}")
 
 
