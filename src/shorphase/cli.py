@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -144,10 +145,34 @@ def _csv_field(report: dict, column: str):
     return report[outer][inner]
 
 
+def _json(value, pad: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)`` with ``pad`` after each line break.
+
+    json's indenting encoder is pure Python; this one lays out the containers
+    and takes each leaf's text from the C pieces that encoder calls.
+    """
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        try:
+            return "{" + inner + f",{inner}".join([
+                f"{encode_basestring_ascii(key)}: {_json(item, inner)}" for key, item in value.items()
+            ]) + pad + "}"
+        except TypeError:  # a key that is not a str, or a value that json.dumps refuses as well
+            # json.dumps's own text; no JSON string holds a raw "\n", so each one is a line break.
+            return json.dumps(value, indent=2).replace("\n", pad)
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + inner + f",{inner}".join([_json(item, inner) for item in value]) + pad + "]"
+    return json.dumps(value)  # an int, bool, None, non-finite float, numpy scalar or empty container
+
+
 def _render(fmt: str, columns, report: dict) -> str:
     """One report as indented JSON, or as a CSV header and row."""
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _json(report) + "\n"
     row = [_csv_cell(_csv_field(report, column)) for column in columns]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([columns, row])
@@ -395,6 +420,7 @@ def cmd_sweep(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="shorphase", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each subcommand's parser by name, filled as they are added
 
     def add_spectrum_flags(p):
         p.add_argument("--omega", help="four qubit frequencies 'w0,w1,w2,w3' (additive spectrum)")
@@ -457,8 +483,12 @@ def _main_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _main_parser().parse_args(argv)
+        # A named command's parser reads its flags; the top-level one, help and no or unknown commands.
+        parser = _main_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1131,6 +1131,20 @@ def test_reused_parser_carries_no_state_between_calls(capsys, tmp_path):
     assert cli.build_parser() is not cli.build_parser()
 
 
+@pytest.mark.parametrize("argv", [
+    ["shor-demo", "--mode", "natural-phase", "--tau1", "7.3", "--tau2", "1.9"],
+    ["shor-demo", "--tau1", "0", "--tau2", "-0", "--seed", "7"],
+    ["pulse", "--mode", "noncoherent", "--area", "1", "--t0", "0.5"],
+    ["pulse", "--mode", "sudden", "--area", "-0.0", "--energies", "1e-310,-3"],
+    ["check-condition", "--tau1", "0.3", "--tau2", "-0"],
+])
+def test_json_reports_are_written_as_json_dumps_indent_2(capsys, argv):
+    # Run, pulse and condition reports: the text json.dumps(report, indent=2) writes.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_NO_FACTOR)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 

@@ -4,8 +4,10 @@ import cmath
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -15,7 +17,7 @@ import pytest
 
 from conftest import idx
 from shorphase import cli, pulses, shor, statevec, transforms
-from shorphase.config import DelaySchedule, ExperimentConfig, PipelineMode
+from shorphase.config import ConfigError, DelaySchedule, ExperimentConfig, PipelineMode
 from shorphase.pulses import PulseMode, PulseSpec, TwoLevelState, TwoLevelSystem, natural_init
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -434,3 +436,125 @@ def test_one_spectrum_batch_is_its_rows_bit_for_bit(energies, pairs):
     for mode in PipelineMode:
         assert list(map(state_bits, transforms._final_states(spectrum, mode, tau1, tau2))) == [
             state_bits(transforms._final_states(spectrum, mode, t1, t2)) for t1, t2 in pairs]
+
+
+#: Each subcommand's flags, as its --help lists them.
+COMMAND_FLAGS = {
+    "shor-demo": ["--config", "--dump-config", "--mode", "--tau1", "--tau2", "--omega", "--energies",
+                  "--seed", "--retry-cap", "--tolerance", "--format"],
+    "pulse": ["--mode", "--rabi", "--duration", "--area", "--t0", "--phase", "--energies", "--step",
+              "--format"],
+    "sweep": [f"--tau{n}-{part}" for n in (1, 2) for part in ("start", "stop", "count")]
+             + ["--omega", "--energies", "--mode", "--tolerance", "--out", "--format"],
+    "check-condition": ["--tau1", "--tau2", "--omega", "--energies", "--tolerance", "--format"],
+}
+#: Flag values: signed, non-finite and exponent numbers, comma lists, names, file names and "".
+FLAG_VALUES = st.sampled_from([
+    "0", "2", "1.5", "-1", "-0", "-2.5e-3", "1e400", "inf", "-inf", "nan", "-nan", "1,3", "-1,-3",
+    "1,2,3,4", "-1,inf,3,4", "1,,3", "coherent", "sudden", "natural-phase", "csv", "json", "yaml",
+    "out.csv", "out.json", "run.cfg", "x", "",
+])
+#: Tokens that are no flag of a subcommand: help, the end of flags, unknown flags and words.
+LOOSE_TOKENS = st.sampled_from(["-h", "--help", "--", "--bogus", "-x", "--tau", "--e", "-1", "x",
+                                "pulse", "shor-demo"])
+
+
+def command_argv(command):
+    """``command`` and flags of its own: "--flag value", "--flag=value", abbreviations and loose tokens."""
+    flags = st.sampled_from(COMMAND_FLAGS[command])
+    abbreviations = st.tuples(flags, st.integers(3, 12)).map(lambda cut: cut[0][:cut[1]])
+    items = st.one_of(
+        st.tuples(st.one_of(flags, abbreviations), FLAG_VALUES).map(list),
+        st.tuples(st.one_of(flags, abbreviations), FLAG_VALUES).map(lambda pair: ["=".join(pair)]),
+        LOOSE_TOKENS.map(lambda token: [token]),
+    )
+    return st.lists(items, max_size=6).map(lambda parts: [command, *itertools.chain(*parts)])
+
+
+ARGVS = st.tuples(
+    st.one_of(st.sampled_from(list(COMMAND_FLAGS)).flatmap(command_argv),
+              st.lists(st.one_of(LOOSE_TOKENS, st.sampled_from(["bogus-command", "check"])), max_size=3)),
+    st.booleans(),
+).map(lambda drawn: tuple(drawn[0]) if drawn[1] else drawn[0])
+
+
+def top_level_route(argv):
+    """``cli.main`` with every argv read by the top-level parser first, which hands a command's flags on."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return cli.EXIT_USAGE
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_USAGE
+
+
+def outcome(route, argv) -> tuple:
+    """Exit code (or SystemExit code), stdout, stderr and the files written, in a fresh directory."""
+    out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = route(argv)
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+            files = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+        finally:
+            os.chdir(home)
+    return code, out.getvalue(), err.getvalue(), files
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@hypothesis.given(ARGVS)
+@hypothesis.example([])
+@hypothesis.example(["--help"])
+@hypothesis.example(["bogus-command", "--tau1", "1"])
+@hypothesis.example(("pulse", "--are", "1"))
+@hypothesis.example(["pulse", "--area=1.5", "--", "x"])
+@hypothesis.example(["pulse", "--", "--area", "1"])
+@hypothesis.example(["pulse", "--area", "1", "-h"])
+@hypothesis.example(["-h", "pulse"])
+@hypothesis.example(["check-condition", "--tau1", "-inf", "--omega=-1,nan,3,4"])
+@hypothesis.example(["shor-demo", "--tau", "1"])
+@hypothesis.example(["sweep", "--bogus", "--out", "x.csv"])
+@hypothesis.example(("sweep", "--tau1-start", "0", "--tau1-stop", "1", "--tau1-count", "2", "--tau2-start",
+                     "-0", "--tau2-stop", "1e-3", "--tau2-count", "3", "--out=out.json"))
+def test_main_reads_a_command_as_the_top_level_parser_does(argv):
+    # main hands a named command's flags straight to that command's parser;
+    # every argv must end as it does when the top-level parser reads it first.
+    assert outcome(cli.main, argv) == outcome(top_level_route, argv)
+
+
+#: Leaves with text of their own: signed zeros, subnormals, non-finite and numpy
+#: floats, big ints, bools, None, and strings that need escaping or are not ASCII.
+JSON_LEAVES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, math.nan, math.inf, -math.inf,
+                     np.float64(-0.0), np.float64(1e-310), np.float64(math.inf), 0, -7, 2**70,
+                     True, False, None, "", "\u00e9t\u00e9", "\U0001f600", "\u2028", "tab\t\"q\"\\",
+                     "\x00\x1f"]),
+    st.floats(), st.integers(), st.text(max_size=6),
+)
+JSON_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(["", "\u00e9", "a\nb", "\"", "x"]))
+
+
+def json_trees(keys):
+    return st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(keys, inner, max_size=4),
+    ), max_leaves=24)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@hypothesis.given(st.one_of(json_trees(JSON_KEYS),
+                            json_trees(st.one_of(JSON_KEYS, st.integers(), st.floats(), st.none()))))
+@hypothesis.example({"a": [(), {}, [1.5, ("x", None)]], "b": (-0.0, (True,))})
+@hypothesis.example([{"k": {1: [1.0, {"z": (2,)}], None: "v", 2.5: {}}}])
+def test_report_writer_is_json_dumps_indent_2(value):
+    # Dicts, lists and tuples laid out at two spaces a level; a dict with a
+    # key that is not a str is laid out by json.dumps itself, at its depth.
+    assert cli._json(value) == json.dumps(value, indent=2)
