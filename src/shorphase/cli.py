@@ -155,6 +155,8 @@ def _json(value, pad: str = "\n") -> str:
         return float.__repr__(value)
     if type(value) is str:
         return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
     inner = pad + "  "
     if isinstance(value, dict) and value:
         try:
@@ -166,7 +168,7 @@ def _json(value, pad: str = "\n") -> str:
             return json.dumps(value, indent=2).replace("\n", pad)
     if isinstance(value, (list, tuple)) and value:
         return "[" + inner + f",{inner}".join([_json(item, inner) for item in value]) + pad + "]"
-    return json.dumps(value)  # an int, bool, None, non-finite float, numpy scalar or empty container
+    return json.dumps(value)  # an int, bool, non-finite float, numpy scalar or empty container
 
 
 def _render(fmt: str, columns, report: dict) -> str:
@@ -249,8 +251,13 @@ def cmd_shor_demo(args) -> int:
 # pulse
 
 
+def _angle(c: complex) -> float:
+    # libm's atan2, as cmath.phase takes it, but without its OverflowError on a quotient that underflows.
+    return math.atan2(c.imag, c.real)
+
+
 def _amplitude(c: complex) -> dict:
-    return {"modulus": _sig(abs(c)), "phase": _sig(wrap_phase(np.angle(c)))}
+    return {"modulus": _sig(abs(c)), "phase": _sig(wrap_phase(_angle(c)))}
 
 
 def _pulse_result(args) -> dict:
@@ -293,11 +300,9 @@ def _pulse_result(args) -> dict:
         area = spec.pulse_area
         phase = spec.phase
         if mode is PulseMode.NONCOHERENT:
-            coherent_spec = dataclasses.replace(spec, mode=PulseMode.COHERENT)
+            coherent_spec = PulseSpec(PulseMode.COHERENT, spec.rabi, spec.t0, spec.tau, spec.phase)
             coherent = pulses.evolve_coherent(system, coherent_spec, init)
-            phase_error = _sig(wrap_phase(
-                np.angle(final.c_p) - np.angle(coherent.c_p)
-            ))
+            phase_error = _sig(wrap_phase(_angle(final.c_p) - _angle(coherent.c_p)))
         else:
             phase_error = None
 

@@ -60,8 +60,7 @@ class TwoLevelSystem:
     e_p: float
 
     def __post_init__(self):
-        for name in ("e_k", "e_p"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        self.__dict__.update(e_k=_finite(self.e_k, "e_k"), e_p=_finite(self.e_p, "e_p"))
 
     @property
     def omega_pk(self) -> float:
@@ -73,8 +72,8 @@ class PulseSpec:
     """One pulse: coupling strength, timing, phase, and mode.
 
     In the resonant modes the pulse area is rabi*tau/2 and ``area`` must be
-    left unset; in SUDDEN mode only ``area`` matters. ``phase`` is wrapped
-    into (-pi, pi] at construction.
+    left unset, and rabi*tau/2 must be finite; in SUDDEN mode only ``area``
+    matters. ``phase`` is wrapped into (-pi, pi] at construction.
     """
 
     mode: PulseMode
@@ -85,19 +84,23 @@ class PulseSpec:
     area: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", PulseMode(self.mode))
-        for name in ("rabi", "t0", "tau", "phase"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
-        object.__setattr__(self, "phase", wrap_phase(self.phase))
-        if self.mode is PulseMode.SUDDEN:
-            if self.area is None or not math.isfinite(float(self.area)):
+        mode, area = PulseMode(self.mode), self.area
+        rabi, t0, tau = _finite(self.rabi, "rabi"), _finite(self.t0, "t0"), _finite(self.tau, "tau")
+        phase = wrap_phase(_finite(self.phase, "phase"))
+        if mode is PulseMode.SUDDEN:
+            if area is None or not math.isfinite(float(area)):
                 raise ValueError("sudden mode needs a finite pulse area")
-            object.__setattr__(self, "area", float(self.area))
+            area = float(area)
         else:
-            if self.area is not None:
+            if area is not None:
                 raise ValueError("area is only meaningful in sudden mode; set rabi and tau")
-            for name in ("rabi", "tau"):
-                _finite(getattr(self, name), name, non_negative=True)
+            if rabi < 0.0 or tau < 0.0:
+                name, value = ("rabi", rabi) if rabi < 0.0 else ("tau", tau)
+                raise ValueError(f"{name} must be non-negative, got {value}")
+            if not math.isfinite(0.5 * rabi * tau):  # as pulse_area computes it
+                raise ValueError(f"pulse area rabi*tau/2 is not finite for rabi = {rabi!r}, "
+                                 f"tau = {tau!r}")
+        self.__dict__.update(mode=mode, rabi=rabi, t0=t0, tau=tau, phase=phase, area=area)
 
     @property
     def pulse_area(self) -> float:
@@ -115,8 +118,7 @@ class TwoLevelState:
     c_p: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "c_k", complex(self.c_k))
-        object.__setattr__(self, "c_p", complex(self.c_p))
+        self.__dict__.update(c_k=complex(self.c_k), c_p=complex(self.c_p))
 
     @property
     def probability(self) -> float:

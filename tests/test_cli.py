@@ -340,10 +340,12 @@ def test_pulse_integrator_refusals_leave_clean_stderr(tmp_path, flags, message):
     (["--energies", "1e200,1e200", "--area", "1", "--duration", "1e200"],
      "non-finite phase E*t for E_k = 1e+200, E_p = 1e+200, t0 = 0.0, tau = 1e+200"),
     (["--mode", "sudden", "--area", "1", "--t0", "inf"], "t0 must be finite"),
-], ids=["initial-phase", "closed-form-phase", "sudden-infinite-t0"])
+    (["--mode", "coherent", "--rabi", "1e308", "--duration", "10"],
+     "pulse area rabi*tau/2 is not finite for rabi = 1e+308, tau = 10.0"),
+], ids=["initial-phase", "closed-form-phase", "sudden-infinite-t0", "overflowing-area"])
 def test_pulse_refuses_overflowing_phases(capsys, flags, message):
-    # An overflowing E*t used to end in a bare "math domain error", and an
-    # infinite t0 in a sudden pulse used to print NaN amplitudes with exit 0.
+    # An overflowing E*t or pulse area used to end in a bare "math domain error",
+    # and an infinite t0 in a sudden pulse used to print NaN amplitudes with exit 0.
     code, out, err = run_cli(capsys, "pulse", *flags)
     assert (code, out, err) == (1, "", f"error: {message}\n")
 

@@ -558,3 +558,33 @@ def test_report_writer_is_json_dumps_indent_2(value):
     # Dicts, lists and tuples laid out at two spaces a level; a dict with a
     # key that is not a str is laid out by json.dumps itself, at its depth.
     assert cli._json(value) == json.dumps(value, indent=2)
+
+
+#: Amplitudes as the pulse report meets them (modulus up to 1, any phase), and any complex
+#: whose modulus, which the report also prints, is finite.
+AMPLITUDES = st.one_of(st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)),
+                       st.complex_numbers(max_magnitude=1e308, allow_nan=False, allow_infinity=False))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@hypothesis.given(AMPLITUDES)
+@hypothesis.example(complex(0.0, 0.0))
+@hypothesis.example(complex(-0.0, 0.0))
+@hypothesis.example(complex(0.0, -0.0))
+@hypothesis.example(complex(-0.0, -0.0))
+@hypothesis.example(complex(1.0, 0.0))
+@hypothesis.example(complex(1.0, -0.0))
+@hypothesis.example(complex(0.0, 1.0))
+@hypothesis.example(complex(-0.0, -1.0))
+@hypothesis.example(complex(-1.0, 0.0))
+@hypothesis.example(complex(-1.0, -0.0))
+@hypothesis.example(complex(-1.0, 5e-324))
+@hypothesis.example(complex(-1.0, -5e-324))
+@hypothesis.example(complex(-1.0, 1e-16))
+@hypothesis.example(complex(-1.0, -1e-16))
+@hypothesis.example(complex(2.0, 5e-324))
+def test_report_phase_is_numpys_angle_as_printed(c):
+    # The pulse report takes a phase from math.atan2; at the 12 digits it
+    # prints, that is numpy's np.angle, on the axes, at signed zeros, next to
+    # +-pi (where -pi wraps to pi) and where the angle underflows to 0 included.
+    assert cli._amplitude(c)["phase"] == cli._sig(statevec.wrap_phase(float(np.angle(c))))

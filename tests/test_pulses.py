@@ -490,14 +490,58 @@ def test_pulse_spec_area_rules():
     assert resonant.pulse_area == pytest.approx(0.75)
     sudden = PulseSpec(mode=PulseMode.SUDDEN, area=1.2)
     assert sudden.pulse_area == 1.2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sudden mode needs a finite pulse area$"):
         PulseSpec(mode=PulseMode.SUDDEN)  # area required
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^area is only meaningful in sudden mode; set rabi and tau$"):
         PulseSpec(mode=PulseMode.COHERENT, rabi=1.0, tau=1.0, area=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rabi must be non-negative, got -1\.0$"):
         PulseSpec(mode=PulseMode.COHERENT, rabi=-1.0, tau=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tau must be non-negative, got -1\.0$"):
         PulseSpec(mode=PulseMode.COHERENT, rabi=1.0, tau=-1.0)
+    # Two bad fields: every finiteness check comes before the sign checks, rabi before tau.
+    with pytest.raises(ValueError, match="^rabi must be finite$"):
+        PulseSpec(mode=PulseMode.COHERENT, rabi=math.inf, tau=-1.0)
+    with pytest.raises(ValueError, match=r"^rabi must be non-negative, got -1\.0$"):
+        PulseSpec(mode=PulseMode.COHERENT, rabi=-1.0, tau=-1.0)
+    # Finite rabi and tau whose area overflows; the evolve functions would fail on it.
+    with pytest.raises(ValueError, match=r"^pulse area rabi\*tau/2 is not finite for rabi = 1e\+308, "
+                                         r"tau = 10\.0$"):
+        PulseSpec(mode=PulseMode.COHERENT, rabi=1e308, tau=10.0)
+
+
+@pytest.mark.parametrize("value, text, fields", [
+    (TwoLevelSystem(np.float64(1.0), 3), "TwoLevelSystem(e_k=1.0, e_p=3.0)", {"e_k": 1.0, "e_p": 3.0}),
+    (PulseSpec("coherent", np.float64(2.0), np.float64(0.5), 1, np.float64(0.25)),
+     "PulseSpec(mode=<PulseMode.COHERENT: 'coherent'>, rabi=2.0, t0=0.5, tau=1.0, phase=0.25, "
+     "area=None)",
+     {"mode": PulseMode.COHERENT, "rabi": 2.0, "t0": 0.5, "tau": 1.0, "phase": 0.25, "area": None}),
+    (PulseSpec("sudden", area=np.float64(1.5)),
+     "PulseSpec(mode=<PulseMode.SUDDEN: 'sudden'>, rabi=0.0, t0=0.0, tau=0.0, phase=0.0, area=1.5)",
+     {"mode": PulseMode.SUDDEN, "rabi": 0.0, "t0": 0.0, "tau": 0.0, "phase": 0.0, "area": 1.5}),
+    (TwoLevelState(1, np.complex128(0.5j)), "TwoLevelState(c_k=(1+0j), c_p=0.5j)",
+     {"c_k": 1 + 0j, "c_p": 0.5j}),
+], ids=["system", "resonant-spec", "sudden-spec", "state"])
+def test_pulse_values_are_frozen_dataclass_values(value, text, fields):
+    # Built from numpy scalars, an int and a mode string, each value stores Python
+    # floats and complexes and a PulseMode member, which the dataclass's own
+    # equality, hash, repr and asdict read.
+    assert repr(value) == text
+    assert dataclasses.asdict(value) == fields
+    assert [type(v) for v in dataclasses.asdict(value).values()] == [type(v) for v in fields.values()]
+    assert value == type(value)(**fields) and hash(value) == hash(tuple(fields.values()))
+    assert dataclasses.replace(value) == value
+    for name, field_value in fields.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, field_value)
+
+
+def test_replacing_a_pulse_value_checks_it_again():
+    with pytest.raises(ValueError, match=r"^rabi must be non-negative, got -1\.0$"):
+        dataclasses.replace(PulseSpec(PulseMode.COHERENT, rabi=1.0, tau=1.0), rabi=-1.0)
+    with pytest.raises(ValueError, match="^e_p must be finite$"):
+        dataclasses.replace(TwoLevelSystem(0.0, 1.0), e_p=math.inf)
+    replaced = dataclasses.replace(TwoLevelState(0.6, 0.8j), c_p=np.float64(0.8))
+    assert type(replaced.c_p) is complex and replaced.c_p == 0.8
 
 
 def test_mode_mismatch_rejected():
