@@ -257,7 +257,13 @@ def _angle(c: complex) -> float:
 
 
 def _amplitude(c: complex) -> dict:
-    return {"modulus": _sig(abs(c)), "phase": _sig(wrap_phase(_angle(c)))}
+    try:
+        modulus = abs(c)
+    except OverflowError:  # a modulus past the largest float
+        modulus = math.inf
+    if not math.isfinite(modulus):
+        raise ValueError(f"modulus of amplitude {c!r} must be finite")
+    return {"modulus": _sig(modulus), "phase": _sig(wrap_phase(_angle(c)))}
 
 
 def _pulse_result(args) -> dict:
@@ -367,14 +373,12 @@ def _cells(column: np.ndarray) -> list:
     """A column's cells as json.dumps (and so _csv_cell) writes them, each distinct value once."""
     # Distinct by bit pattern, so -0.0 and 0.0 keep their own text.
     bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-    if bits.size == column.size:
-        return json.dumps(column.tolist())[1:-1].split(", ")
     text = json.dumps(bits.view(column.dtype).tolist())[1:-1].split(", ")
-    return list(map(text.__getitem__, inverse.tolist()))
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
-def _sweep_rows(args, config: ExperimentConfig):
-    """The grid's rows as cell text, row-major with tau1 outer, for the shared ``config``."""
+def _sweep_columns(args, config: ExperimentConfig) -> list:
+    """The grid's ten columns as cell text, row-major with tau1 outer, for the shared ``config``."""
     axes = {axis: [getattr(args, f"{axis}_{part}") for part in ("start", "stop", "count")]
             for axis in ("tau1", "tau2")}
     # The axis ends are delay settings, checked before any point: tau1's start and stop, then tau2's.
@@ -388,7 +392,9 @@ def _sweep_rows(args, config: ExperimentConfig):
     tau1, tau2 = np.repeat(taus1, taus2.size), np.tile(taus2, taus1.size)
     chunks = [_sweep_chunk(config, tau1[start:start + _SWEEP_CHUNK], tau2[start:start + _SWEEP_CHUNK])
               for start in range(0, tau1.size, _SWEEP_CHUNK)]
-    return zip(*map(_cells, (tau1, tau2, *map(np.concatenate, zip(*chunks)))))
+    # The delay cells are each axis value's text, repeated as the delays are.
+    return [np.repeat(np.array(_cells(taus1), dtype=object), taus2.size).tolist(),
+            _cells(taus2) * taus1.size, *map(_cells, map(np.concatenate, zip(*chunks)))]
 
 
 def cmd_sweep(args) -> int:
@@ -398,22 +404,27 @@ def cmd_sweep(args) -> int:
     # Every setting is checked before any point is computed: the counts, the spectrum
     # flags, the format, the config's values, then the axis ends.
     config = _assemble_config(args)
-    rows = _sweep_rows(args, config)
-    # The text of csv.writer (no sweep cell needs quoting) or of json.dumps(rows, indent=2):
-    # head, each row's text joined by sep, tail.
+    columns = _sweep_columns(args, config)
+    # The text of csv.writer (no sweep cell needs quoting) or of json.dumps(rows, indent=2): head,
+    # then per row each cell (a None slot) and the fixed text after its column, tail ending the last.
     if config.output_format == "csv":
-        head, text, sep, tail = ",".join(SWEEP_CSV_COLUMNS) + "\n", ",".join, "\n", "\n"
+        head, row, tail = ",".join(SWEEP_CSV_COLUMNS) + "\n", [None, ","] * 9 + [None, "\n"], "\n"
     else:
-        row = "  {\n" + ",\n".join(f"    {json.dumps(c)}: %s" for c in SWEEP_CSV_COLUMNS) + "\n  }"
-        head, text, sep, tail = "[\n", row.__mod__, ",\n", "\n]\n"
+        keys = [f"\n    {json.dumps(c)}: " for c in SWEEP_CSV_COLUMNS]
+        head, tail = "[\n  {" + keys[0], "\n  }\n]\n"
+        row = [text for key in keys[1:] for text in (None, "," + key)] + [None, "\n  },\n  {" + keys[0]]
     # Every cell is ready before the file is opened, so a failing point leaves
-    # no file; the text is made one block of rows at a time.
+    # no file; the text is gathered and joined one block of rows at a time.
     count = args.tau1_count * args.tau2_count
     with Path(args.out).open("w") as file:
+        file.write(head)
         for start in range(0, count, _SWEEP_CHUNK):
-            block = sep.join(map(text, itertools.islice(rows, _SWEEP_CHUNK)))
-            file.write((sep if start else head) + block)
-        file.write(tail)
+            flat = row * min(_SWEEP_CHUNK, count - start)
+            for j, cells in enumerate(columns):
+                flat[2 * j::len(row)] = cells[start:start + _SWEEP_CHUNK]
+            if start + _SWEEP_CHUNK >= count:
+                flat[-1] = tail
+            file.write("".join(flat))
     print(f"wrote {count} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 

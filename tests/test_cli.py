@@ -5,9 +5,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from importlib import resources
 from pathlib import Path
 
@@ -348,6 +350,22 @@ def test_pulse_refuses_overflowing_phases(capsys, flags, message):
     # and an infinite t0 in a sudden pulse used to print NaN amplitudes with exit 0.
     code, out, err = run_cli(capsys, "pulse", *flags)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("c", [complex(1.5e308, 1.5e308), complex(math.inf, 0.0), complex(math.nan, 0.0)],
+                         ids=["overflowing-modulus", "infinite", "nan"])
+def test_pulse_report_refuses_a_non_finite_modulus(capsys, monkeypatch, c):
+    # abs() raised OverflowError past the largest float, and an infinite or NaN
+    # amplitude reached the report as its modulus; each is now one clean refusal.
+    message = f"modulus of amplitude {c!r} must be finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli._amplitude(c)
+    monkeypatch.setattr(cli.pulses, "evolve_sudden", lambda init, area: types.SimpleNamespace(c_k=c, c_p=0j))
+    assert run_cli(capsys, "pulse", "--mode", "sudden", "--area", "1") == (1, "", f"error: {message}\n")
+
+
+def test_pulse_report_prints_a_modulus_near_the_largest_float():
+    assert cli._amplitude(complex(1.27e308, 1.27e308))["modulus"] == 1.79605122421e308
 
 
 @pytest.mark.parametrize("step, message", [
@@ -775,6 +793,9 @@ SWEEP_N2 = cli._SWEEP_CHUNK * 2 // 3 + 7
     pytest.param(3, SWEEP_N2, "9", SWEEP_TABLE, id=f"3-{SWEEP_N2}"),
     pytest.param(1, 1, "9", SWEEP_TABLE, id="1-1"),
     pytest.param(2, cli._SWEEP_CHUNK, "9", SWEEP_TABLE, id="two-whole-chunks"),
+    # A last block of one row, and a one-point tau2 axis under a tau1 axis of distinct values.
+    pytest.param(1, cli._SWEEP_CHUNK + 1, "9", SWEEP_TABLE, id="last-block-one-row"),
+    pytest.param(cli._SWEEP_CHUNK + 1, 1, "9", SWEEP_TABLE, id="one-point-tau2-axis"),
     # Cells that repeat heavily, across a full chunk and a partial one: on a
     # square grid the additive residuals depend on tau1 + tau2 alone, and the
     # natural-phase moduli depend on neither delay.
@@ -782,10 +803,12 @@ SWEEP_N2 = cli._SWEEP_CHUNK * 2 // 3 + 7
     pytest.param(50, 50, "9", [*SWEEP_TABLE, "--mode", "natural-phase"], id="natural-phase-50-50"),
 ])
 def test_sweep_files_are_what_the_stdlib_encoders_write(capsys, tmp_path, n1, n2, tau2_stop, flags):
-    # The sweep writer fills one row template per format. Its files must be
-    # exactly json.dumps(rows, indent=2) and csv.writer over the same rows,
-    # with the cell rule of the single-report CSV path, across two full chunks
-    # and a partial one, across exactly two, and for a single point.
+    # The sweep writer joins each block's cells with the fixed text between
+    # them, and takes the delay cells from each axis value's text. Its files
+    # must be exactly json.dumps(rows, indent=2) and csv.writer over the same
+    # rows, with the cell rule of the single-report CSV path, across two full
+    # chunks and a partial one, across exactly two, for a last block of one
+    # row, for a one-point axis and for a single point.
     grid = ["--tau1-start", "0", "--tau1-stop", "7.5", "--tau1-count", str(n1),
             "--tau2-start", "0", "--tau2-stop", tau2_stop, "--tau2-count", str(n2), *flags]
     paths = {fmt: tmp_path / f"grid.{fmt}" for fmt in ("json", "csv")}
@@ -801,6 +824,22 @@ def test_sweep_files_are_what_the_stdlib_encoders_write(capsys, tmp_path, n1, n2
         [columns, *([cli._csv_cell(row[c]) for c in columns] for row in rows)]
     )
     assert first_differing_line(paths["csv"].read_text(), buf.getvalue()) is None
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this platform")
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_sweep_to_dev_stdout_writes_the_file_bytes(capfd, tmp_path, suffix):
+    # --out names the file the sweep opens and writes as it is, so a device
+    # path works: its stdout is the bytes a regular file gets, across blocks.
+    grid = ["--tau1-start", "0", "--tau1-stop", "7.5", "--tau1-count", "3", "--tau2-start", "0",
+            "--tau2-stop", "9", "--tau2-count", str(SWEEP_N2), *SWEEP_TABLE, "--format", suffix]
+    path = tmp_path / f"grid.{suffix}"
+    assert cli.main(["sweep", *grid, "--out", str(path)]) == 0
+    capfd.readouterr()
+    assert cli.main(["sweep", *grid, "--out", "/dev/stdout"]) == 0
+    out, err = capfd.readouterr()
+    assert out == path.read_text()
+    assert err == f"wrote {3 * SWEEP_N2} rows to /dev/stdout\n"
 
 
 def test_sweep_memory_stays_below_twice_its_file(capsys, tmp_path):
