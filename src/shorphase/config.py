@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +35,12 @@ class PipelineMode(enum.Enum):
     NATURAL_PHASE = "natural-phase"
 
 
-#: Each mode, by itself and by its value.
-_MODES = {key: mode for mode in PipelineMode for key in (mode, mode.value)}
+#: Each mode by its value.
+_MODES = {mode.value: mode for mode in PipelineMode}
 
 
-def _parse_mode(value) -> PipelineMode:
-    mode = _MODES.get(value) if isinstance(value, (str, PipelineMode)) else None
-    if mode is None:
-        choices = ", ".join(m.value for m in PipelineMode)
-        raise ConfigError(f"unknown mode {value!r} (choices: {choices})")
-    return mode
-
-
-def _coerce(config, name: str, kind):
-    """Set ``name`` to ``kind`` of its value; ConfigError on a bool, a failure or a lost fraction."""
-    value = getattr(config, name)
+def _coerce(value, name: str, kind):
+    """``value`` as ``kind``; ConfigError on a bool, a failure or a lost fraction."""
     if type(value) is kind:
         return value
     try:
@@ -60,31 +51,37 @@ def _coerce(config, name: str, kind):
     if coerced is None or kind is int and not isinstance(value, str) and coerced != value:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
-    object.__setattr__(config, name, coerced)
     return coerced
 
 
-def _check_delay(delays, name: str) -> None:
-    """Coerce the delay ``name`` to a float; ConfigError unless it is finite and non-negative."""
-    value = _coerce(delays, name, float)
+def _delay(value, name: str) -> float:
+    """``value`` as a float; ConfigError unless it is finite and non-negative."""
+    # A float subclass such as np.float64 converts as _coerce would convert it.
+    value = float(value) if isinstance(value, float) else _coerce(value, name, float)
     if not 0.0 <= value < math.inf:  # a NaN fails the comparison too
         raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+    return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DelaySchedule:
     """Idle times before the function evaluation (tau1) and before the DFT (tau2)."""
 
     tau1: float
     tau2: float
 
+    def __init__(self, tau1, tau2):
+        values = self.__dict__  # frozen: the checked values are stored past __setattr__
+        values["tau1"], values["tau2"] = tau1, tau2
+        self.__post_init__()
+
     def __post_init__(self):
         tau1, tau2 = self.tau1, self.tau2
         # Exact floats in range are kept as they are; anything else takes the full checks.
         if not (type(tau1) is type(tau2) is float and 0.0 <= tau1 < math.inf
                 and 0.0 <= tau2 < math.inf):
-            _check_delay(self, "tau1")
-            _check_delay(self, "tau2")
+            values = self.__dict__
+            values["tau1"], values["tau2"] = _delay(tau1, "tau1"), _delay(tau2, "tau2")
 
     @property
     def total(self) -> float:
@@ -106,41 +103,69 @@ _DEFAULT_SPECTRUM = statevec._energy_table(statevec.DEFAULT_OMEGAS)
 OUTPUT_FORMATS = ("json", "csv")
 
 
-@dataclass(frozen=True)
+#: The delays of a config that names none; a frozen value, so configs may share it.
+_NO_DELAYS = DelaySchedule(0.0, 0.0)
+
+
+@dataclass(frozen=True, init=False)
 class ExperimentConfig:
     """Everything one period-finding run depends on; a fixed seed fixes the outcome."""
 
     mode: PipelineMode = PipelineMode.FREE_EVOLUTION
-    delays: DelaySchedule = field(default_factory=lambda: DelaySchedule(0.0, 0.0))
+    delays: DelaySchedule = _NO_DELAYS
     spectrum: tuple[float, ...] = _DEFAULT_SPECTRUM
     seed: int = 0
     retry_cap: int = 16
     tolerance: float = 1e-9
     output_format: str = "json"
 
+    def __init__(self, mode=PipelineMode.FREE_EVOLUTION, delays=_NO_DELAYS,
+                 spectrum=_DEFAULT_SPECTRUM, seed=0, retry_cap=16, tolerance=1e-9,
+                 output_format="json"):
+        # Item stores into the instance dict: a keyword update() builds a dict first.
+        values = self.__dict__
+        values["mode"], values["delays"], values["spectrum"] = mode, delays, spectrum
+        values["seed"], values["retry_cap"], values["tolerance"] = seed, retry_cap, tolerance
+        values["output_format"] = output_format
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "mode", _parse_mode(self.mode))
-        if self.spectrum is not _DEFAULT_SPECTRUM:
+        value, delays, spectrum = self.mode, self.delays, self.spectrum
+        # A member is taken by its type: an Enum's __hash__ is a Python-level call.
+        mode = (value if type(value) is PipelineMode
+                else _MODES.get(value) if isinstance(value, str) else None)
+        if mode is None:
+            choices = ", ".join(m.value for m in PipelineMode)
+            raise ConfigError(f"unknown mode {value!r} (choices: {choices})")
+        if not isinstance(delays, DelaySchedule):
+            raise ConfigError(f"delays must be a DelaySchedule, got {delays!r}")
+        if spectrum is not _DEFAULT_SPECTRUM:
             try:
-                object.__setattr__(self, "spectrum", statevec._energy_table(self.spectrum))
+                spectrum = statevec._energy_table(spectrum)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(str(exc)) from None
-        cap, tolerance = self.retry_cap, self.tolerance
+        seed, cap, tolerance = self.seed, self.retry_cap, self.tolerance
         # Exact ints and floats in range are kept as they are; anything else takes the full checks.
-        if not (type(self.seed) is type(cap) is int and cap >= 1
+        if not (type(seed) is type(cap) is int and cap >= 1
                 and type(tolerance) is float and 0.0 < tolerance < math.inf):
-            _coerce(self, "seed", int)
-            if _coerce(self, "retry_cap", int) < 1:
-                raise ConfigError(f"retry_cap must be at least 1, got {self.retry_cap}")
-            tolerance = _coerce(self, "tolerance", float)
+            seed = _coerce(seed, "seed", int)
+            cap = _coerce(cap, "retry_cap", int)
+            if cap < 1:
+                raise ConfigError(f"retry_cap must be at least 1, got {cap}")
+            tolerance = _coerce(tolerance, "tolerance", float)
             try:
                 _check_positive(tolerance, "tolerance")
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-        if self.output_format not in OUTPUT_FORMATS:
+        output_format = self.output_format
+        if output_format not in OUTPUT_FORMATS:
             raise ConfigError(
-                f"output format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}"
+                f"output format must be one of {OUTPUT_FORMATS}, got {output_format!r}"
             )
+        values = self.__dict__
+        values["mode"], values["spectrum"], values["seed"] = mode, spectrum, seed
+        values["retry_cap"], values["tolerance"] = cap, tolerance
+        values["output_format"] = str(output_format)  # np.str_ is a str subclass
 
 
 def float_list(text) -> tuple[float, ...]:
@@ -190,19 +215,18 @@ def _nested_shape(value) -> tuple | None:
 
 def _check_spectrum_keys(settings: dict) -> None:
     """At most one spectrum key, holding its own count of values; ``build_config`` names shapes."""
-    if "omega" not in settings and "energies" not in settings:
+    key = "omega" if "omega" in settings else "energies" if "energies" in settings else None
+    if key is None:
         return
-    if "omega" in settings and "energies" in settings:
+    if key == "omega" and "energies" in settings:
         raise ConfigError("give either 'omega' or 'energies', not both")
-    for key, size in _SPECTRUM_SIZES.items():
-        if key in settings:
-            value = settings[key]
-            try:  # only a sequence is counted; a string or a scalar keeps the spectrum rule's text
-                count = size if isinstance(value, str) else len(value)
-            except TypeError:
-                continue
-            if count != size:
-                raise ConfigError(f"{key} needs {size} values, got {count}")
+    value, size = settings[key], _SPECTRUM_SIZES[key]
+    try:  # only a sequence is counted; a string or a scalar keeps the spectrum rule's text
+        count = size if isinstance(value, str) else len(value)
+    except TypeError:
+        return
+    if count != size:
+        raise ConfigError(f"{key} needs {size} values, got {count}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -239,9 +263,13 @@ def build_config(settings: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown settings: {sorted(settings.keys() - _FIELDS.keys())}")
     try:
         _check_spectrum_keys(settings)
-        kwargs = {_FIELDS[key]: value for key, value in settings.items()}
-        kwargs["delays"] = DelaySchedule(kwargs.pop("tau1", 0.0), kwargs.pop("tau2", 0.0))
-        return ExperimentConfig(**kwargs)
+        get = settings.get
+        return ExperimentConfig(
+            get("mode", PipelineMode.FREE_EVOLUTION),
+            DelaySchedule(get("tau1", 0.0), get("tau2", 0.0)),
+            get("omega", get("energies", _DEFAULT_SPECTRUM)),
+            get("seed", 0), get("retry_cap", 16), get("tolerance", 1e-9), get("format", "json"),
+        )
     except ConfigError:
         # A nested spectrum list, or an array read as its lists, fails the count or the
         # spectrum rule; name its shape instead, whatever failed first. Valid ones never come here.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ class PeriodExtractionError(ValueError):
     """Measured x does not divide the register size; the run is corrupted."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConditionResidual:
     """Wrapped residuals of the two interference conditions.
 
@@ -61,6 +62,10 @@ class ConditionResidual:
     delta1: float
     delta2: float
     satisfied: bool
+
+    def __init__(self, delta1, delta2, satisfied):
+        values = self.__dict__  # frozen: stored past __setattr__, as a config stores its fields
+        values["delta1"], values["delta2"], values["satisfied"] = delta1, delta2, satisfied
 
 
 def _residuals(spectrum, tau1, tau2, tol):
@@ -193,7 +198,7 @@ def _seeded_draws(seeds, caps, marginals):
     negative seed is refused with numpy's own error.
     """
     n = len(seeds)
-    batched = n >= _STREAM_MIN_ROWS and all(0 <= s < _pcg64.SEED_LIMIT for s in seeds)
+    batched = n >= _STREAM_MIN_ROWS and min(seeds) >= 0 and max(seeds) < _pcg64.SEED_LIMIT
     stream = _pcg64.Pcg64(seeds) if batched else None
     try:
         gens = [] if batched else [np.random.default_rng(s) for s in seeds]
@@ -231,25 +236,36 @@ def _finish(config: ExperimentConfig, state, distribution, residuals, measured_x
                      diagnostic)
 
 
-def _run_batch(configs: list) -> list:
-    """The report of each config, or the exception that refused it, computed as one batch.
+#: A config's fields as one batch row, read in this order.
+_ROW = operator.attrgetter("mode", "spectrum", "delays.tau1", "delays.tau2", "tolerance", "seed",
+                           "retry_cap")
+
+
+def _run_batch(configs: list) -> tuple[list, dict]:
+    """The report of each config, and the exception that refused each failed one, by its index.
 
     Each config brings its own mode, spectrum, delays, tolerance, seed and
-    retry cap; only ``_finish`` runs per config. A row that a check refuses
-    passed every earlier check, so it keeps that error as its own, and the
-    other rows are evaluated again: one more pass per refusing check.
+    retry cap; only ``_finish`` runs per config, and a failed config's report
+    is left None. A row that a check refuses passed every earlier check, so it
+    keeps that error as its own, and the other rows are evaluated again: one
+    more pass per refusing check.
     """
-    results, rows = [None] * len(configs), []
-    for i, c in enumerate(configs):
-        try:
-            rows.append((i, c.mode, c.spectrum, c.delays.tau1, c.delays.tau2, c.tolerance, c.seed,
-                         c.retry_cap))
-        except AttributeError as exc:  # an item that is not a config
-            results[i] = exc
+    reports, errors = [None] * len(configs), {}
+    try:
+        rows, index = list(map(_ROW, configs)), range(len(configs))
+    except AttributeError:  # an item that is not a config keeps the error reading it raised
+        rows, index = [], []
+        for i, c in enumerate(configs):
+            try:
+                rows.append(_ROW(c))
+                index.append(i)
+            except AttributeError as exc:
+                errors[i] = exc
     while rows:
-        index, modes, spectra, tau1, tau2, tols, seeds, caps = zip(*rows)
-        natural = [m is PipelineMode.NATURAL_PHASE for m in modes]
-        mode = np.array(natural) if any(natural) and not all(natural) else modes[0]
+        modes, spectra, tau1, tau2, tols, seeds, caps = zip(*rows)
+        natural = PipelineMode.NATURAL_PHASE
+        mode = (modes[0] if modes.count(natural) in (0, len(modes))
+                else np.array([m is natural for m in modes]))
         # Each spectrum is a 16-tuple of floats; fromiter skips np.array's nested-shape search.
         table = np.fromiter(itertools.chain.from_iterable(spectra), float, statevec.DIM * len(rows))
         try:
@@ -259,20 +275,22 @@ def _run_batch(configs: list) -> list:
             x, retries = _seeded_draws(seeds, caps, marginals)
         except ValueError as exc:
             for r, error in exc.rows.items():
-                results[index[r]] = error
-            rows = [row for r, row in enumerate(rows) if r not in exc.rows]
+                errors[index[r]] = error
+            kept = [r for r in range(len(rows)) if r not in exc.rows]
+            rows, index = [rows[r] for r in kept], [index[r] for r in kept]
             continue
-        for i, state, (p0, p1, p2, p3), (d1, d2), verdict, xi, retry in zip(
-                index, states, marginals.tolist(), deltas.tolist(), satisfied.tolist(), x, retries):
+        residuals = map(ConditionResidual, *deltas.T.tolist(), satisfied.tolist())
+        for i, state, (p0, p1, p2, p3), residual, xi, retry in zip(
+                index, states, marginals.tolist(), residuals, x, retries):
             try:
-                results[i] = _finish(configs[i], state, {0: p0, 1: p1, 2: p2, 3: p3},
-                                     ConditionResidual(d1, d2, verdict), xi, retry)
+                reports[i] = _finish(configs[i], state, {0: p0, 1: p1, 2: p2, 3: p3}, residual, xi,
+                                     retry)
             except Warning:
                 raise
             except Exception as exc:
-                results[i] = exc
+                errors[i] = exc
         break
-    return results
+    return reports, errors
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -281,9 +299,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     The one-config batch of ``sweep``, through the same batched core. Errors
     are raised.
     """
-    report = _run_batch([config])[0]
-    if isinstance(report, Exception):
-        raise report
+    (report,), errors = _run_batch([config])
+    if errors:
+        raise errors[0]
     return report
 
 
@@ -299,7 +317,10 @@ def sweep(configs) -> list[RunReport]:
     configs = list(configs)
     if not configs:
         raise ValueError("sweep needs at least one config")
-    results = [result for start in range(0, len(configs), _SWEEP_CHUNK)
-               for result in _run_batch(configs[start:start + _SWEEP_CHUNK])]
-    return [RunReport(config=config, error=f"{type(result).__name__}: {result}")
-            if isinstance(result, Exception) else result for config, result in zip(configs, results)]
+    reports = []
+    for start in range(0, len(configs), _SWEEP_CHUNK):
+        batch, errors = _run_batch(configs[start:start + _SWEEP_CHUNK])
+        for i, exc in errors.items():
+            batch[i] = RunReport(config=configs[start + i], error=f"{type(exc).__name__}: {exc}")
+        reports += batch
+    return reports

@@ -49,6 +49,16 @@ def norm(state: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(state, dtype=complex)))
 
 
+#: The entry types of a list or tuple that the spectrum rule reads without numpy.
+_FLOAT = {float}
+
+
+def _all_finite(values) -> bool:
+    """Whether every float in ``values`` is finite: a finite sum says so in one C pass."""
+    # A sum of finite floats may still overflow; only then is each entry checked.
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 def _energy_table(values, omegas_only: bool = False) -> tuple[float, ...]:
     """The one spectrum rule: 16 energies, as Python floats, from 4 qubit frequencies or 16.
 
@@ -57,7 +67,7 @@ def _energy_table(values, omegas_only: bool = False) -> tuple[float, ...]:
     array, or a list of numpy complex scalars, is refused as a list of complex
     numbers is, not cast to its real parts.
     """
-    if type(values) in (tuple, list) and all([type(v) is float for v in values]):
+    if type(values) in (tuple, list) and set(map(type, values)) == _FLOAT:
         shape = (len(values),)
     else:
         items = values if type(values) in (tuple, list) else [values]
@@ -67,7 +77,7 @@ def _energy_table(values, omegas_only: bool = False) -> tuple[float, ...]:
         shape = values.shape
         values = values.tolist() if values.ndim == 1 else ()
     if shape == (4,) or omegas_only:
-        if shape != (4,) or not all(map(math.isfinite, values)):
+        if shape != (4,) or not _all_finite(values):
             raise ValueError("expected four finite qubit frequencies")
         # Each qubit's frequency times its excitation bit: w times 1.0 is w, and w times
         # 0.0 keeps w's sign. The four terms of |m,n> (bits x0, x1, y0, y1) are added
@@ -81,7 +91,7 @@ def _energy_table(values, omegas_only: bool = False) -> tuple[float, ...]:
                 m3 + u0 + u1, m3 + y0 + u1, m3 + u0 + y1, m3 + y0 + y1)
     if shape != (DIM,):
         raise ValueError(f"spectrum must have 4 or 16 entries, got shape {shape}")
-    if not all(map(math.isfinite, values)):
+    if not _all_finite(values):
         raise ValueError("spectrum entries must be finite")
     return tuple(values)
 

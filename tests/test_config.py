@@ -234,6 +234,13 @@ def test_a_one_dimensional_array_of_sixteen_energies_is_a_table():
     assert build_config({"energies": energies}).spectrum == tuple(energies.tolist())
 
 
+@pytest.mark.parametrize("energies", [(1e308,) * 16, [1e308, -1e308] * 8, np.full(16, -1e308)])
+def test_finite_energies_whose_sum_overflows_are_a_table(energies):
+    # The spectrum rule reads a finite sum as all entries finite; an infinite one is checked
+    # entry by entry, so finite entries are never refused for their sum.
+    assert build_config({"energies": energies}).spectrum == tuple(np.asarray(energies).tolist())
+
+
 def test_integral_values_and_negative_seeds_pass_validation():
     # A negative seed is numpy's to refuse, when a run draws from it.
     config = build_config({"seed": -1, "retry_cap": 4.0, "tolerance": 1, "omega": [1, 2, 3, 4]})
@@ -293,15 +300,15 @@ def test_a_config_is_a_dataclass_value():
 
 
 NUMPY_SCALARS = {"tau1": np.float64(1.5), "tau2": np.float64(0.25), "tolerance": np.float64(1e-6),
-                 "seed": np.int64(7), "retry_cap": np.int64(3)}
+                 "seed": np.int64(7), "retry_cap": np.int64(3), "format": np.str_("json")}
 
 
 @pytest.mark.parametrize("numpy_keys", [[key] for key in NUMPY_SCALARS] + [list(NUMPY_SCALARS)])
 def test_numpy_scalar_settings_come_out_as_python_numbers(numpy_keys):
     config = build_config({**STUDY, **{key: NUMPY_SCALARS[key] for key in numpy_keys}})
     values = (config.delays.tau1, config.delays.tau2, config.tolerance, config.seed,
-              config.retry_cap)
-    assert [type(value) for value in values] == [float, float, float, int, int]
+              config.retry_cap, config.output_format)
+    assert [type(value) for value in values] == [float, float, float, int, int, str]
     assert config == build_config(STUDY)
     assert "np." not in config_to_text(config)
 
@@ -319,3 +326,14 @@ def test_build_config_runs_post_init_once_per_config(monkeypatch):
     configs = [build_config(settings) for settings in
                ({}, STUDY, {**STUDY, "tau1": np.float64(2.0)}, {"energies": [0.5] * 16})]
     assert [id(config) for config in seen] == [id(config) for config in configs]
+
+
+@pytest.mark.parametrize("delays", [None, (1.0, 2.0), 0.5, {"tau1": 1.0, "tau2": 2.0}])
+def test_a_config_refuses_delays_that_are_not_a_schedule(delays):
+    # Every run reads delays.tau1: anything else is refused here, not as an AttributeError there.
+    message = f"delays must be a DelaySchedule, got {delays!r}"
+    for make in (lambda: ExperimentConfig(delays=delays),
+                 lambda: dataclasses.replace(build_config(STUDY), delays=delays)):
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert str(err.value) == message

@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -17,7 +18,7 @@ import pytest
 
 from conftest import idx
 from shorphase import cli, pulses, shor, statevec, transforms
-from shorphase.config import ConfigError, DelaySchedule, ExperimentConfig, PipelineMode
+from shorphase.config import ConfigError, DelaySchedule, ExperimentConfig, PipelineMode, build_config
 from shorphase.pulses import PulseMode, PulseSpec, TwoLevelState, TwoLevelSystem, natural_init
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -588,3 +589,93 @@ def test_report_phase_is_numpys_angle_as_printed(c):
     # prints, that is numpy's np.angle, on the axes, at signed zeros, next to
     # +-pi (where -pi wraps to pi) and where the angle underflows to 0 included.
     assert cli._amplitude(c)["phase"] == cli._sig(statevec.wrap_phase(float(np.angle(c))))
+
+
+#: Per settings key: its values in range, its edge values (valid or refused), and the
+#: forms that take a validator's general path: numpy scalars, numeric strings, integral
+#: floats, lists, 1-D arrays and lists of numpy scalars. A bool is refused in either form.
+SPECTRUM_EDGES = [math.nan, math.inf, -math.inf, 1e308, -1e308, -0.0, 5e-324]
+SETTING_KEYS = {
+    "mode": (st.sampled_from(["free-evolution", "natural-phase"]), [], [np.str_]),
+    "tau1": (DELAYS, [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.5, math.nan, math.inf,
+                      -math.inf, True], [np.float64, repr]),
+    "seed": (st.integers(-2**53, 2**53), [True, False], [np.int64, str, float]),
+    "retry_cap": (st.integers(1, 40), [0, -3, True], [np.int64, str, float]),
+    "tolerance": (st.floats(1e-12, 1.0), [0.0, -1e-9, math.nan, math.inf, 1e308, True],
+                  [np.float64, repr]),
+    "format": (st.sampled_from(["json", "csv"]), [], [np.str_]),
+}
+SETTING_KEYS["tau2"] = SETTING_KEYS["tau1"]
+SPECTRUM_FORMS = [list, np.array, lambda values: list(map(np.float64, values))]
+
+
+@st.composite
+def settings_in_two_forms(draw):
+    """A settings dict of Python floats, ints and tuples, and the same values in other forms.
+
+    At most one key holds an edge value: a spectrum edge is a wrong count or up
+    to three entries from SPECTRUM_EDGES, whose finite ones may make the sum overflow.
+    """
+    edge = draw(st.sampled_from([None, "spectrum", *SETTING_KEYS]))
+    python, general = {}, {}
+    for key, (values, edges, forms) in SETTING_KEYS.items():
+        if key == edge and edges:
+            value = draw(st.sampled_from(edges))
+        elif draw(st.booleans()):
+            value = draw(values)
+        else:
+            continue
+        python[key] = value
+        general[key] = np.bool_(value) if type(value) is bool else draw(st.sampled_from(forms))(value)
+    key = draw(st.sampled_from([None, "omega", "energies"]) if edge != "spectrum"
+               else st.sampled_from(["omega", "energies"]))
+    if key is not None:
+        size = 4 if key == "omega" else 16
+        if edge == "spectrum" and draw(st.booleans()):
+            size = draw(st.sampled_from([0, 3, 5, 15, 17]))
+        values = draw(st.lists(st.floats(-20.0, 20.0), min_size=size, max_size=size))
+        if edge == "spectrum" and size in (4, 16):
+            at = st.integers(0, size - 1)
+            for i, value in draw(st.lists(st.tuples(at, st.sampled_from(SPECTRUM_EDGES)),
+                                          min_size=1, max_size=3)):
+                values[i] = value
+        python[key] = tuple(values)
+        general[key] = draw(st.sampled_from(SPECTRUM_FORMS))(python[key])
+    return python, general
+
+
+def typed_fields(value) -> list:
+    """(type name, value) of each field of a config, the delays and spectrum entry by entry;
+    a float by float.hex."""
+    if dataclasses.is_dataclass(value):
+        return [t for f in dataclasses.fields(value) for t in typed_fields(getattr(value, f.name))]
+    if isinstance(value, tuple):
+        return [t for v in value for t in typed_fields(v)]
+    return [(type(value).__name__, value.hex() if isinstance(value, float) else repr(value))]
+
+
+def config_or_refusal(settings):
+    """The config ``build_config`` makes of ``settings``, or its ConfigError text."""
+    try:
+        return build_config(settings)
+    except ConfigError as exc:  # a numpy bool is named as its Python bool
+        return str(exc).replace("np.True_", "True").replace("np.False_", "False")
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@hypothesis.given(settings_in_two_forms())
+@hypothesis.example(({"energies": (1e308,) * 16}, {"energies": np.full(16, 1e308)}))
+@hypothesis.example(({"omega": (1e308, 1e308, 0.0, 0.0)}, {"omega": [1e308, 1e308, 0.0, 0.0]}))
+@hypothesis.example(({"tau1": 1.5, "tau2": 0.25}, {"tau1": np.float64(1.5), "tau2": "0.25"}))
+def test_a_settings_value_builds_one_config_in_any_form(pair):
+    # Exact Python floats and ints take the validators' fast paths; numpy
+    # scalars, strings, lists and arrays take the general ones. The two must
+    # build equal configs, field types and float bits included, or refuse
+    # with the same text. A sum of finite energies that overflows is accepted.
+    python, general = pair
+    fast, slow = config_or_refusal(python), config_or_refusal(general)
+    if isinstance(fast, str):
+        assert slow == fast
+    else:
+        assert isinstance(slow, ExperimentConfig) and slow == fast
+        assert typed_fields(slow) == typed_fields(fast)

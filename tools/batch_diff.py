@@ -6,12 +6,15 @@ For each seed, every batch of ``bench/inputs.run_batch`` (the inputs of the
 ``experiment-batch`` workload, from the ``bench`` next to this script, so both
 trees see the same settings) goes through ``config.build_config`` and
 ``shor.sweep`` of each tree, each tree in its own child interpreter with its
-``src`` on the path. No bench setting fails a check, so the first batch of
-each seed also holds a fixed set of failing settings, each in both modes and
-spread through the batch: a phase that overflows at idle 1, an overflowing
-natural-phase total (free evolution runs it cleanly), an overflowing residual
-gap and a negative seed. Their reports' error texts are compared like every
-other field. The script prints, per field, how many reports differ in
+``src`` on the path. No bench setting fails a check, and every bench value is
+a Python float, int or tuple, so the first batch of each seed also holds a
+fixed set of settings, each in both modes and spread through the batch. Four
+fail: a phase that overflows at idle 1, an overflowing natural-phase total
+(free evolution runs it cleanly), an overflowing residual gap and a negative
+seed; their reports' error texts are compared like every other field. Four are
+valid values that take the validators' general paths: a numpy float and a
+numeric-string delay, a numpy int seed and retry cap with a numpy float
+tolerance, a list of ints as energies and a 16-entry numpy array. The script prints, per field, how many reports differ in
 ``measured_x``, ``retries``, ``period``, ``factor``, ``diagnostic``, ``error``,
 the ``satisfied`` verdict or the ``config``, and the largest absolute gap of
 the final states, x distributions and residuals. A config is compared field by
@@ -43,18 +46,23 @@ import inputs
 from shorphase import config, shor
 wide = [0.0] * 16
 wide[8], wide[0] = 1e308, -1e308  # E[2,0] - E[0,0] overflows
-failing = [dict(s, mode=mode) for mode in ("free-evolution", "natural-phase") for s in (
+fixed = [dict(s, mode=mode) for mode in ("free-evolution", "natural-phase") for s in (
     {"tau1": 1e308},  # E*tau1 overflows at idle 1 (natural phase: the terminal phase)
     {"omega": (0.0, 0.0, 0.0, 1.0), "tau1": 1e308, "tau2": 1e308},  # tau1 + tau2 overflows
     {"energies": wide, "tau1": 0.5},  # the residual gap overflows
     {"seed": -1, "tau1": 0.3},  # numpy refuses a negative seed
+    # Valid values that take each validator's general path, not its fast one.
+    {"tau1": np.float64(0.75), "tau2": "1.5"},
+    {"seed": np.int64(11), "retry_cap": np.int64(3), "tolerance": np.float64(1e-6), "tau1": 0.4},
+    {"energies": list(range(16)), "tau1": 0.2},
+    {"energies": np.linspace(0.5, 8.0, 16), "tau2": 0.6},
 )]
 reports = []
 for index in range(inputs.PASS_BATCHES):
     settings = inputs.run_batch(int(seed), index)
     if index == 0:
-        for k, extra in enumerate(failing):
-            settings.insert(41 * k, extra)
+        for k, extra in enumerate(fixed):
+            settings.insert(23 * k, extra)
     reports += shor.sweep([config.build_config(s) for s in settings])
 nan = np.full(16, np.nan)
 ok = [r.error is None for r in reports]
