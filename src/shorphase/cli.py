@@ -10,10 +10,8 @@ format; flags override it.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import itertools
 import json
 import math
@@ -130,6 +128,7 @@ def _sig(value: float) -> float:
 
 
 def _csv_cell(value) -> str:
+    """A cell's text. A CSV row joins its cells with "," and ends in "\\n": no cell needs quoting."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -175,10 +174,8 @@ def _render(fmt: str, columns, report: dict) -> str:
     """One report as indented JSON, or as a CSV header and row."""
     if fmt == "json":
         return _json(report) + "\n"
-    row = [_csv_cell(_csv_field(report, column)) for column in columns]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([columns, row])
-    return buf.getvalue()
+    cells = [_csv_cell(_csv_field(report, column)) for column in columns]
+    return ",".join(columns) + "\n" + ",".join(cells) + "\n"
 
 
 def _spectrum_flags(args) -> dict:
@@ -405,7 +402,7 @@ def cmd_sweep(args) -> int:
     # flags, the format, the config's values, then the axis ends.
     config = _assemble_config(args)
     columns = _sweep_columns(args, config)
-    # The text of csv.writer (no sweep cell needs quoting) or of json.dumps(rows, indent=2): head,
+    # The text of the CSV rule (see _csv_cell) or of json.dumps(rows, indent=2): head,
     # then per row each cell (a None slot) and the fixed text after its column, tail ending the last.
     if config.output_format == "csv":
         head, row, tail = ",".join(SWEEP_CSV_COLUMNS) + "\n", [None, ","] * 9 + [None, "\n"], "\n"
@@ -476,16 +473,16 @@ def build_parser() -> _Parser:
     sweep_p.add_argument("--tau2-count", type=int, required=True)
     add_spectrum_flags(sweep_p)
     sweep_p.add_argument("--mode", choices=[m.value for m in PipelineMode])
-    sweep_p.add_argument("--tolerance", type=float, default=1e-9)
+    sweep_p.add_argument("--tolerance", type=float)
     sweep_p.add_argument("--out", required=True, help="output file path")
     sweep_p.add_argument("--format", choices=OUTPUT_FORMATS)
     sweep_p.set_defaults(func=cmd_sweep)
 
     cond = sub.add_parser("check-condition", help="interference-condition residuals")
-    cond.add_argument("--tau1", type=float, default=0.0)
-    cond.add_argument("--tau2", type=float, default=0.0)
+    cond.add_argument("--tau1", type=float)
+    cond.add_argument("--tau2", type=float)
     add_spectrum_flags(cond)
-    cond.add_argument("--tolerance", type=float, default=1e-9)
+    cond.add_argument("--tolerance", type=float)
     cond.add_argument("--format", choices=OUTPUT_FORMATS)
     cond.set_defaults(func=cmd_check_condition)
 

@@ -111,13 +111,13 @@ _NO_DELAYS = DelaySchedule(0.0, 0.0)
 class ExperimentConfig:
     """Everything one period-finding run depends on; a fixed seed fixes the outcome."""
 
-    mode: PipelineMode = PipelineMode.FREE_EVOLUTION
-    delays: DelaySchedule = _NO_DELAYS
-    spectrum: tuple[float, ...] = _DEFAULT_SPECTRUM
-    seed: int = 0
-    retry_cap: int = 16
-    tolerance: float = 1e-9
-    output_format: str = "json"
+    mode: PipelineMode
+    delays: DelaySchedule
+    spectrum: tuple[float, ...]
+    seed: int
+    retry_cap: int
+    tolerance: float
+    output_format: str
 
     def __init__(self, mode=PipelineMode.FREE_EVOLUTION, delays=_NO_DELAYS,
                  spectrum=_DEFAULT_SPECTRUM, seed=0, retry_cap=16, tolerance=1e-9,
@@ -139,24 +139,21 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {value!r} (choices: {choices})")
         if not isinstance(delays, DelaySchedule):
             raise ConfigError(f"delays must be a DelaySchedule, got {delays!r}")
-        if spectrum is not _DEFAULT_SPECTRUM:
-            try:
-                spectrum = statevec._energy_table(spectrum)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(str(exc)) from None
         seed, cap, tolerance = self.seed, self.retry_cap, self.tolerance
-        # Exact ints and floats in range are kept as they are; anything else takes the full checks.
-        if not (type(seed) is type(cap) is int and cap >= 1
-                and type(tolerance) is float and 0.0 < tolerance < math.inf):
-            seed = _coerce(seed, "seed", int)
-            cap = _coerce(cap, "retry_cap", int)
-            if cap < 1:
-                raise ConfigError(f"retry_cap must be at least 1, got {cap}")
-            tolerance = _coerce(tolerance, "tolerance", float)
-            try:
-                _check_positive(tolerance, "tolerance")
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+        # The spectrum and tolerance rules raise ValueError or TypeError; a config raises ConfigError.
+        try:
+            if spectrum is not _DEFAULT_SPECTRUM:
+                spectrum = statevec._energy_table(spectrum)
+            # Exact ints and floats in range are kept as they are; anything else takes the full checks.
+            if not (type(seed) is type(cap) is int and cap >= 1
+                    and type(tolerance) is float and 0.0 < tolerance < math.inf):
+                seed = _coerce(seed, "seed", int)
+                cap = _coerce(cap, "retry_cap", int)
+                if cap < 1:
+                    raise ConfigError(f"retry_cap must be at least 1, got {cap}")
+                tolerance = _check_positive(_coerce(tolerance, "tolerance", float), "tolerance")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         output_format = self.output_format
         if output_format not in OUTPUT_FORMATS:
             raise ConfigError(

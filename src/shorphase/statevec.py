@@ -85,11 +85,11 @@ def _energy_table(values, omegas_only: bool = False) -> tuple[float, ...]:
         x0, x1, y0, y1 = values
         z0, z1, u0, u1 = x0 * 0.0, x1 * 0.0, y0 * 0.0, y1 * 0.0
         m0, m1, m2, m3 = z0 + z1, x0 + z1, z0 + x1, x0 + x1
-        return (m0 + u0 + u1, m0 + y0 + u1, m0 + u0 + y1, m0 + y0 + y1,
-                m1 + u0 + u1, m1 + y0 + u1, m1 + u0 + y1, m1 + y0 + y1,
-                m2 + u0 + u1, m2 + y0 + u1, m2 + u0 + y1, m2 + y0 + y1,
-                m3 + u0 + u1, m3 + y0 + u1, m3 + u0 + y1, m3 + y0 + y1)
-    if shape != (DIM,):
+        values = (m0 + u0 + u1, m0 + y0 + u1, m0 + u0 + y1, m0 + y0 + y1,
+                  m1 + u0 + u1, m1 + y0 + u1, m1 + u0 + y1, m1 + y0 + y1,
+                  m2 + u0 + u1, m2 + y0 + u1, m2 + u0 + y1, m2 + y0 + y1,
+                  m3 + u0 + u1, m3 + y0 + u1, m3 + u0 + y1, m3 + y0 + y1)
+    elif shape != (DIM,):
         raise ValueError(f"spectrum must have 4 or 16 entries, got shape {shape}")
     if not _all_finite(values):
         raise ValueError("spectrum entries must be finite")

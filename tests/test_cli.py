@@ -20,7 +20,8 @@ import pytest
 import shorphase
 from conftest import expected_final_state, idx
 from shorphase import cli, shor, statevec
-from shorphase.config import DelaySchedule, build_config
+from shorphase.config import DelaySchedule, ExperimentConfig, PipelineMode, build_config
+from shorphase.pulses import PulseMode
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +179,30 @@ def test_csv_columns_match_schema(capsys, schemas):
                     schema = schemas[kind]["definitions"][schema["$ref"].rsplit("/", 1)[1]]
                 value = value[key]
             assert cell == cli._csv_cell(value)
+
+
+def test_a_csv_report_is_csv_writer_text_for_every_mode_and_diagnostic(capsys):
+    # A CSV report joins its cells with "," and quotes none, which is csv.writer's text
+    # only while no cell needs quoting: so every mode and every diagnostic text is checked.
+    configs = (ExperimentConfig(retry_cap=1, seed=seed) for seed in range(100))
+    retry_cap = next(run.diagnostic for run in map(shor.run_experiment, configs) if run.diagnostic)
+    assert retry_cap.startswith("retry cap exhausted")
+    diagnostics = [None, retry_cap, *(diagnostic for _, _, diagnostic in shor._OUTCOMES.values())]
+    reports = []
+    for mode in PipelineMode:
+        run = json.loads(run_cli(capsys, "shor-demo", "--mode", mode.value, "--tau1", "0.1")[1])
+        reports += [(cli.RUN_CSV_COLUMNS, {**run, "diagnostic": text}) for text in diagnostics]
+    for mode in PulseMode:
+        pulse = run_cli(capsys, "pulse", "--mode", mode.value, "--area", "1", "--t0", "0.5")[1]
+        reports.append((cli.PULSE_CSV_COLUMNS, json.loads(pulse)))
+    for tau1 in ("0", "0.1"):  # satisfied, and not
+        condition = run_cli(capsys, "check-condition", "--tau1", tau1)[1]
+        reports.append((cli.CONDITION_CSV_COLUMNS, json.loads(condition)))
+    for columns, report in reports:
+        buf = io.StringIO()
+        cells = [cli._csv_cell(cli._csv_field(report, column)) for column in columns]
+        csv.writer(buf, lineterminator="\n").writerows([columns, cells])
+        assert cli._render("csv", columns, report) == buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +615,17 @@ def test_one_settings_rule_reads_one_refusal_in_every_pipeline_command(
     argv = [command, *(_GRID if command == "sweep" else []), *flags]
     assert run_cli(capsys, *argv) == (1, "", f"config error: {message}\n")
     assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["shor-demo", "check-condition", "sweep"])
+def test_frequencies_whose_table_overflows_are_one_config_error(capsys, tmp_path, monkeypatch, command):
+    # Finite frequencies whose energies overflow are refused before any file is written,
+    # shor-demo's dumped config included.
+    monkeypatch.chdir(tmp_path)
+    flags = {"shor-demo": ["--dump-config", "eff.cfg"], "check-condition": [], "sweep": _GRID}[command]
+    argv = [command, *flags, "--omega", "1e308,1e308,0,0"]
+    assert run_cli(capsys, *argv) == (1, "", "config error: spectrum entries must be finite\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,18 @@ def test_finite_energies_whose_sum_overflows_are_a_table(energies):
     assert build_config({"energies": energies}).spectrum == tuple(np.asarray(energies).tolist())
 
 
+@pytest.mark.parametrize("omegas", [(1e308, 1e308, 0.0, 0.0), [0.0, 0.0, -1e308, -1e308],
+                                    np.array([1e308, 1e308, 1.0, 1.0])])
+def test_frequencies_whose_table_overflows_are_a_config_error(omegas):
+    # config_to_text would write the infinite energies, and no config file can hold them.
+    for build in (lambda: build_config({"omega": omegas}), lambda: ExperimentConfig(spectrum=omegas)):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value) == "spectrum entries must be finite"
+    omegas = (1e308, -1e308, 0.0, 0.0)  # frequencies of either sign whose table is finite
+    assert build_config({"omega": omegas}).spectrum == tuple(statevec.additive_spectrum(omegas))
+
+
 def test_integral_values_and_negative_seeds_pass_validation():
     # A negative seed is numpy's to refuse, when a run draws from it.
     config = build_config({"seed": -1, "retry_cap": 4.0, "tolerance": 1, "omega": [1, 2, 3, 4]})

@@ -18,7 +18,8 @@ import pytest
 
 from conftest import idx
 from shorphase import cli, pulses, shor, statevec, transforms
-from shorphase.config import ConfigError, DelaySchedule, ExperimentConfig, PipelineMode, build_config
+from shorphase.config import (ConfigError, DelaySchedule, ExperimentConfig, PipelineMode, build_config,
+                              config_to_text, parse_config_text)
 from shorphase.pulses import PulseMode, PulseSpec, TwoLevelState, TwoLevelSystem, natural_init
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -679,3 +680,29 @@ def test_a_settings_value_builds_one_config_in_any_form(pair):
     else:
         assert isinstance(slow, ExperimentConfig) and slow == fast
         assert typed_fields(slow) == typed_fields(fast)
+
+
+@st.composite
+def wide_spectrum_settings(draw):
+    """A settings dict of in-range values for some keys, and four or 16 energies up to +-1.8e308."""
+    settings = {key: draw(values) for key, (values, _, _) in SETTING_KEYS.items() if draw(st.booleans())}
+    key = draw(st.sampled_from(["omega", "energies"]))
+    size = 4 if key == "omega" else 16
+    settings[key] = tuple(draw(st.lists(WIDE_ENERGY, min_size=size, max_size=size)))
+    return settings
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@hypothesis.given(wide_spectrum_settings())
+@hypothesis.example({"omega": (1e308, 1e308, 0.0, 0.0)})
+@hypothesis.example({"omega": (1e308, -1e308, -0.0, 0.0), "tau1": 5e-324})
+def test_every_accepted_config_reloads_as_itself(settings):
+    # config_to_text promises a file that rebuilds the same run: whatever build_config
+    # accepts, its text must build an equal config with the same energy bits.
+    try:
+        config = build_config(settings)
+    except ConfigError:
+        return
+    reloaded = build_config(parse_config_text(config_to_text(config)))
+    assert reloaded == config
+    assert list(map(float.hex, reloaded.spectrum)) == list(map(float.hex, config.spectrum))

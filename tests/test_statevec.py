@@ -368,6 +368,23 @@ def test_spectrum_refusals_keep_their_texts(values, make_text, additive_text):
         assert str(err.value) == text
 
 
+@pytest.mark.parametrize("omegas, table_is_finite", [
+    ((1e308, 1e308, 0.0, 0.0), False),
+    ([0.0, 0.0, -1e308, -1e308], False),
+    (np.array([1e308, 1e308, 1.0, 1.0]), False),
+    ((1e308, -1e308, 0.0, 0.0), True),
+])
+def test_four_finite_frequencies_are_a_spectrum_only_if_their_table_is(omegas, table_is_finite):
+    # Each frequency is finite, but the energies they add up to need not be.
+    for build in (statevec.additive_spectrum, statevec.make_spectrum):
+        if table_is_finite:
+            assert np.isfinite(build(omegas)).all()
+            continue
+        with pytest.raises(ValueError) as err:
+            build(omegas)
+        assert str(err.value) == "spectrum entries must be finite"
+
+
 def test_make_spectrum_copies_table():
     table = np.arange(16.0)
     spectrum = statevec.make_spectrum(table)

@@ -179,8 +179,15 @@ BASE = [
     ("err-sweep-overflow-desc", ["sweep", "--tau1-start", "1e300", "--tau1-stop", "5e299", "--tau1-count", "3",
                                  "--tau2-start", "0", "--tau2-stop", "1", "--tau2-count", "2",
                                  "--energies", ",".join(["1e10"] * 16), "--out", "g.csv"]),
+    # four finite frequencies whose energy table overflows
+    ("err-omega-table-inf", ["shor-demo", "--omega", "1e308,1e308,0,0", "--dump-config", "eff.cfg"]),
+    ("err-cond-omega-table-inf", ["check-condition", "--omega", "1e308,1e308,0,0"]),
+    ("err-sweep-omega-table-inf", ["sweep", *SW, "--omega", "1e308,1e308,0,0", "--out", "g.csv"]),
     ("help", ["--help"]),
     ("help-pulse", ["pulse", "--help"]),
+    ("help-demo", ["shor-demo", "--help"]),
+    ("help-cond", ["check-condition", "--help"]),
+    ("help-sweep", ["sweep", "--help"]),
 ]
 
 
