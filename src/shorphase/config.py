@@ -71,17 +71,12 @@ class DelaySchedule:
     tau2: float
 
     def __init__(self, tau1, tau2):
-        values = self.__dict__  # frozen: the checked values are stored past __setattr__
-        values["tau1"], values["tau2"] = tau1, tau2
-        self.__post_init__()
-
-    def __post_init__(self):
-        tau1, tau2 = self.tau1, self.tau2
         # Exact floats in range are kept as they are; anything else takes the full checks.
         if not (type(tau1) is type(tau2) is float and 0.0 <= tau1 < math.inf
                 and 0.0 <= tau2 < math.inf):
-            values = self.__dict__
-            values["tau1"], values["tau2"] = _delay(tau1, "tau1"), _delay(tau2, "tau2")
+            tau1, tau2 = _delay(tau1, "tau1"), _delay(tau2, "tau2")
+        values = self.__dict__  # frozen: the checked values are stored past __setattr__
+        values["tau1"], values["tau2"] = tau1, tau2
 
     @property
     def total(self) -> float:
@@ -254,6 +249,12 @@ def parse_config_text(text: str) -> dict:
     return settings
 
 
+#: The value of each field that a settings dict leaves out: ExperimentConfig's defaults.
+(_MODE, _DELAYS, _SPECTRUM, _SEED, _RETRY_CAP, _TOLERANCE,
+ _FORMAT) = ExperimentConfig.__init__.__defaults__
+_TAU1, _TAU2 = _DELAYS.tau1, _DELAYS.tau2
+
+
 def build_config(settings: dict) -> ExperimentConfig:
     """Turn a raw settings dict (from file and/or flags) into a validated config."""
     if not settings.keys() <= _FIELDS.keys():
@@ -262,10 +263,9 @@ def build_config(settings: dict) -> ExperimentConfig:
         _check_spectrum_keys(settings)
         get = settings.get
         return ExperimentConfig(
-            get("mode", PipelineMode.FREE_EVOLUTION),
-            DelaySchedule(get("tau1", 0.0), get("tau2", 0.0)),
-            get("omega", get("energies", _DEFAULT_SPECTRUM)),
-            get("seed", 0), get("retry_cap", 16), get("tolerance", 1e-9), get("format", "json"),
+            get("mode", _MODE), DelaySchedule(get("tau1", _TAU1), get("tau2", _TAU2)),
+            get("omega", get("energies", _SPECTRUM)), get("seed", _SEED),
+            get("retry_cap", _RETRY_CAP), get("tolerance", _TOLERANCE), get("format", _FORMAT),
         )
     except ConfigError:
         # A nested spectrum list, or an array read as its lists, fails the count or the

@@ -184,8 +184,8 @@ def _outcome(measured_x: int) -> tuple:
 _OUTCOMES = {x: _outcome(x) for x in range(1, D)}
 
 #: Batches of at least this many configs draw from ``_pcg64.Pcg64``; below it,
-#: numpy's per-seed generator is faster (crossover 16-32 rows on a 2-vCPU host).
-_STREAM_MIN_ROWS = 32
+#: numpy's per-seed generator is faster (crossover 20-22 rows on a 2-vCPU host).
+_STREAM_MIN_ROWS = 22
 
 
 def _seeded_draws(seeds, caps, marginals):
@@ -194,20 +194,32 @@ def _seeded_draws(seeds, caps, marginals):
     x = 0 carries no period information, so rows draw in rounds: each round
     draws again for the rows still at x = 0 with retries left. A batch of
     ``_STREAM_MIN_ROWS`` or more seeds in [0, 2**128) draws from the batched
-    stream; any other batch uses ``np.random.default_rng(seed)``, so every
-    negative seed is refused with numpy's own error.
+    stream, ``_pcg64.JUMPS`` values per row in a round, so a row rarely needs
+    a second; any other batch uses ``np.random.default_rng(seed)``, one value
+    per row in a round, so every negative seed is refused with numpy's own error.
     """
     n = len(seeds)
-    batched = n >= _STREAM_MIN_ROWS and min(seeds) >= 0 and max(seeds) < _pcg64.SEED_LIMIT
-    stream = _pcg64.Pcg64(seeds) if batched else None
+    if n >= _STREAM_MIN_ROWS and min(seeds) >= 0 and max(seeds) < _pcg64.SEED_LIMIT:
+        stream, u, retries, rows = _pcg64.Pcg64(seeds), np.empty(n), np.zeros(n, int), np.arange(n)
+        p0, caps, ahead = marginals[:, :1], np.array(caps)[:, None], np.arange(_pcg64.JUMPS)
+        while rows.size:
+            drawn = stream.random(rows, _pcg64.JUMPS)
+            # A row draws again while it measures x = 0 (u < p0, the draw rule's first
+            # threshold) with retries left: it takes the leading run of such draws.
+            again = (drawn < p0[rows]) & (retries[rows, None] + ahead < caps[rows])
+            taken = np.logical_and.accumulate(again, axis=1).sum(axis=1)
+            retries[rows] += taken
+            done = taken < _pcg64.JUMPS
+            u[rows[done]] = drawn[done, taken[done]]
+            rows = rows[~done]
+        return statevec._draw_rule(u, marginals).tolist(), retries.tolist()
     try:
-        gens = [] if batched else [np.random.default_rng(s) for s in seeds]
+        gens = [np.random.default_rng(s) for s in seeds]
     except ValueError as exc:  # numpy refuses exactly the negative seeds, each alike
         statevec._refuse_first(np.array([s < 0 for s in seeds]), str(exc))
     u, retries, rows, p0 = [0.0] * n, [0] * n, list(range(n)), marginals[:, 0].tolist()
     while rows:
-        drawn = (stream.random(np.array(rows)).tolist() if batched
-                 else [gens[i].random() for i in rows])
+        drawn = [gens[i].random() for i in rows]
         again = []
         for i, v in zip(rows, drawn):
             u[i] = v
@@ -263,9 +275,9 @@ def _run_batch(configs: list) -> tuple[list, dict]:
                 errors[i] = exc
     while rows:
         modes, spectra, tau1, tau2, tols, seeds, caps = zip(*rows)
-        natural = PipelineMode.NATURAL_PHASE
-        mode = (modes[0] if modes.count(natural) in (0, len(modes))
-                else np.array([m is natural for m in modes]))
+        # The natural-phase rows as one byte each, in one pass of C calls.
+        natural = bytes(map(operator.is_, modes, itertools.repeat(PipelineMode.NATURAL_PHASE)))
+        mode = np.frombuffer(natural, bool) if 0 < natural.count(1) < len(natural) else modes[0]
         # Each spectrum is a 16-tuple of floats; fromiter skips np.array's nested-shape search.
         table = np.fromiter(itertools.chain.from_iterable(spectra), float, statevec.DIM * len(rows))
         try:

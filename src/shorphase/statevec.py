@@ -129,15 +129,16 @@ def _refuse_first(bad, message: str, **values) -> None:
         raise errors[0]
 
 
-def _phase_factors(energies: np.ndarray, dt) -> np.ndarray:
+def _phase_factors(energies: np.ndarray, dt, entries=slice(None)) -> np.ndarray:
     """exp(-i*E*dt) for a 16-entry or (B, 16) spectrum and a scalar or (B,) dt, one per row.
 
-    With one 16-entry table for a (B,) dt that repeats a delay, each distinct
-    delay (by bit pattern, so -0.0 and 0.0 stay apart) is exponentiated once
-    and its row gathered back; each entry is the same product and exp, so
-    the bits do not change. A product E*dt that overflows is refused here,
-    naming the first bad row, instead of letting numpy warn and turn the
-    state into NaN.
+    Only the ``entries`` of each row (an index into its last axis) are
+    exponentiated, but every product E*dt is checked. With one 16-entry
+    table for a (B,) dt that repeats a delay, each distinct delay (by bit
+    pattern, so -0.0 and 0.0 stay apart) is exponentiated once and its row
+    gathered back; each entry is the same product and exp, so the bits do
+    not change. A product E*dt that overflows is refused here, naming the
+    first bad row, instead of letting numpy warn and turn the state into NaN.
     """
     delay, rows = np.asarray(dt), slice(None)
     if energies.ndim == 1 and delay.ndim == 1 and delay.size > 1:
@@ -150,7 +151,7 @@ def _phase_factors(energies: np.ndarray, dt) -> np.ndarray:
     # Checked in row order, so the first bad row is named, not the smallest bad delay.
     _refuse_first(~np.isfinite(phase)[rows], "state is not normalized: non-finite phase E*dt for "
                   "E = {e}, dt = {dt}", e=energies, dt=delay[rows])
-    return np.exp(phase)[rows]
+    return np.exp(phase[..., entries])[rows]
 
 
 def free_evolve(state: np.ndarray, spectrum: np.ndarray, dt) -> np.ndarray:
@@ -162,6 +163,14 @@ def free_evolve(state: np.ndarray, spectrum: np.ndarray, dt) -> np.ndarray:
     Moduli are untouched, so the norm and every measurement marginal are
     preserved exactly. Negative or non-finite dt is rejected.
     """
+    amps, energies, dt = _idle_inputs(state, spectrum, dt)
+    # np.multiply, not *: numpy computes `a * temp` in place as `temp * a` once temp
+    # passes 256 KiB, and that order can round a complex product differently.
+    return np.multiply(amps, _phase_factors(energies, dt))
+
+
+def _idle_inputs(state, spectrum, dt) -> tuple:
+    """``free_evolve``'s inputs as arrays (amplitudes, energies, delays), after its checks."""
     dt = np.asarray(dt, dtype=float)
     if dt.ndim > 1:
         raise ValueError(f"dt must be a scalar or a (B,) array, got shape {dt.shape}")
@@ -171,9 +180,7 @@ def free_evolve(state: np.ndarray, spectrum: np.ndarray, dt) -> np.ndarray:
     energies = np.asarray(spectrum, dtype=float)
     if amps.shape[-1:] != (DIM,) or energies.shape[-1:] != (DIM,) or energies.ndim > 2:
         raise ValueError("state and spectrum must both have 16 entries")
-    # np.multiply, not *: numpy computes `a * temp` in place as `temp * a` once temp
-    # passes 256 KiB, and that order can round a complex product differently.
-    return np.multiply(amps, _phase_factors(energies, dt))
+    return amps, energies, dt
 
 
 def _x_marginals(states: np.ndarray) -> np.ndarray:

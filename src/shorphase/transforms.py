@@ -42,6 +42,9 @@ MOD_EXP_TABLE = tuple(pow(3, x, 4) for x in range(NUM_X))
 #: Row m: the flat indices of |m,0> and |m, 3^m mod 4>, the two states branch m visits.
 _BRANCHES = np.array([[basis_index(m, 0), basis_index(m, y)] for m, y in enumerate(MOD_EXP_TABLE)])
 
+#: The |m,0> entries of a state, branch m's before the function evaluation: _BRANCHES[:, 0].
+_Y0 = slice(0, DIM, NUM_Y)
+
 #: Amplitude allowed outside the y=0 slice before the function evaluation.
 _Y0_LEAK_TOL = 1e-12
 
@@ -101,10 +104,16 @@ def amplitude_of(state: np.ndarray, m: int, n: int) -> complex:
 
 
 def _after_spread(state: np.ndarray, spectrum: np.ndarray, tau1, tau2) -> np.ndarray:
-    # Idle tau1 -> function evaluation -> idle tau2 -> DFT. Each idle is looked up
-    # on the module, so a wrapper set on statevec.free_evolve sees every call.
-    state = statevec.free_evolve(state, spectrum, tau1)
-    state = apply_mod_exp(state)
+    # Idle tau1 -> function evaluation -> idle tau2 -> DFT, bit for bit. The state is
+    # the spread or one branch of it, zero off y = 0, so the first two are one step:
+    # branch m gains exp(-i*E[m,0]*tau1) and moves to |m, 3^m mod 4>. Only the four
+    # |m,0> phases are exponentiated, though free_evolve's checks see all 16. Only
+    # the tau2 idle goes through statevec.free_evolve, looked up on the module so a
+    # wrapper set there sees it.
+    amps, energies, tau1 = statevec._idle_inputs(state, spectrum, tau1)
+    branches = np.multiply(amps[..., _Y0], statevec._phase_factors(energies, tau1, _Y0))
+    state = np.zeros(branches.shape[:-1] + (DIM,), dtype=complex)
+    state[..., _BRANCHES[:, 1]] = branches
     state = statevec.free_evolve(state, spectrum, tau2)
     return dft_x(state)
 

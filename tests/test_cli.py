@@ -1011,8 +1011,10 @@ def test_sweep_refuses_a_bad_format_before_any_point(capsys, monkeypatch, tmp_pa
 
 
 def test_batched_idles_go_through_free_evolve(capsys, monkeypatch, tmp_path):
-    # Each idle of a batch is one call of the public function, so a wrapper set
-    # on the module sees it; a natural-phase batch only adds terminal phases.
+    # The tau2 idle of a batch is one call of the public function, so a wrapper
+    # set on the module sees it. The tau1 idle moves only the four branches of
+    # the spread and is computed with the function evaluation; a natural-phase
+    # batch only adds terminal phases.
     calls = []
     real = statevec.free_evolve
     monkeypatch.setattr(statevec, "free_evolve", lambda *args: calls.append(args) or real(*args))
@@ -1021,11 +1023,11 @@ def test_batched_idles_go_through_free_evolve(capsys, monkeypatch, tmp_path):
         return [build_config({"mode": mode, "tau1": 0.1 * i, "tau2": 0.2, "seed": i}) for i in range(40)]
 
     assert [r.error for r in shor.sweep(batch("free-evolution"))] == [None] * 40
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert [r.error for r in shor.sweep(batch("natural-phase"))] == [None] * 40
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert run_cli(capsys, *sweep_args(tmp_path / "grid.csv", n1=16, n2=16))[0] == 0
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_no_row_of_a_failing_batch_is_computed_alone(capsys, monkeypatch, tmp_path):

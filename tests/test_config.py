@@ -1,6 +1,7 @@
 """Config validation and the key = value file format."""
 
 import dataclasses
+import inspect
 import math
 from pathlib import PurePosixPath
 
@@ -323,6 +324,24 @@ def test_numpy_scalar_settings_come_out_as_python_numbers(numpy_keys):
     assert [type(value) for value in values] == [float, float, float, int, int, str]
     assert config == build_config(STUDY)
     assert "np." not in config_to_text(config)
+
+
+@pytest.mark.parametrize("key", ["mode", "tau1", "tau2", "energies", "seed", "retry_cap",
+                                 "tolerance", "format"])
+def test_a_settings_key_left_out_takes_the_configs_default(key):
+    # build_config reads its defaults from ExperimentConfig's signature, the one copy.
+    parameters = inspect.signature(ExperimentConfig).parameters.values()
+    defaults = {parameter.name: parameter.default for parameter in parameters}
+    settings = {"mode": "natural-phase", "tau1": 0.5, "tau2": 0.25, "energies": [0.5] * 16,
+                "seed": 7, "retry_cap": 3, "tolerance": 1e-6, "format": "csv"}
+    given = build_config(settings)
+    del settings[key]
+    if key in ("tau1", "tau2"):
+        expected = dataclasses.replace(given.delays, **{key: getattr(defaults["delays"], key)})
+        assert build_config(settings) == dataclasses.replace(given, delays=expected)
+    else:
+        field = {"energies": "spectrum", "format": "output_format"}.get(key, key)
+        assert build_config(settings) == dataclasses.replace(given, **{field: defaults[field]})
 
 
 def test_build_config_runs_post_init_once_per_config(monkeypatch):

@@ -440,6 +440,55 @@ def test_one_spectrum_batch_is_its_rows_bit_for_bit(energies, pairs):
             state_bits(transforms._final_states(spectrum, mode, t1, t2)) for t1, t2 in pairs]
 
 
+def public_stages(spectrum, tau1, tau2):
+    """A free-evolution run through the public stages: idle, function evaluation, idle, DFT."""
+    state = transforms.apply_mod_exp(statevec.free_evolve(transforms._SPREAD, spectrum, tau1))
+    return transforms.dft_x(statevec.free_evolve(state, spectrum, tau2))
+
+
+def refusal(run):
+    """The text of the ValueError that ``run`` raises and each refused row's text, or None."""
+    try:
+        run()
+    except ValueError as exc:
+        return str(exc), {row: str(error) for row, error in exc.rows.items()}
+    return None
+
+
+#: Delays from 0 to 1e9, and delays that a stage refuses: negative, NaN, infinite, or
+#: so large that E*tau overflows.
+WIDE_DELAYS = st.one_of(DELAYS, LOG_DELAYS)
+ANY_DELAYS = st.one_of(WIDE_DELAYS, st.sampled_from([-1.0, -1e-300, math.nan, math.inf, 1e308]))
+ROWS = st.lists(st.tuples(ENERGIES, WIDE_DELAYS, WIDE_DELAYS), min_size=1, max_size=40)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@hypothesis.given(ROWS, ENERGIES, DELAY_PAIRS)
+def test_the_branch_stage_is_the_public_stages_bit_for_bit(rows, energies, pairs):
+    # The tau1 idle and the function evaluation run as one step on the four
+    # branches; every bit, signed zeros included, is the public stages' own. The
+    # second case is one table for delays that repeat: the sweep's deduplicated path.
+    for case in (zip(*rows), (energies, *zip(*pairs))):
+        spectrum, tau1, tau2 = map(np.array, case)
+        final = transforms._final_states(spectrum, PipelineMode.FREE_EVOLUTION, tau1, tau2)
+        expected = public_stages(spectrum, tau1, tau2)
+        assert np.array_equal(final.view(np.uint64), expected.view(np.uint64))
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@hypothesis.given(st.lists(st.tuples(WIDE_ENERGIES, ANY_DELAYS, ANY_DELAYS), min_size=1,
+                           max_size=12))
+@hypothesis.example([([1.0] * 16, 1e308, 0.5), ([0.0] * 16, -1.0, 0.5),
+                     ([2.0] * 16, math.nan, 0.5)])
+def test_the_branch_stage_refuses_as_the_public_stages_do(rows):
+    # A negative, NaN or infinite delay and an overflowing E*tau1 are refused
+    # with the public stages' text, in their order, naming the same rows.
+    spectrum, tau1, tau2 = map(np.array, zip(*rows))
+    free = PipelineMode.FREE_EVOLUTION
+    branch = refusal(lambda: transforms._final_states(spectrum, free, tau1, tau2))
+    assert branch == refusal(lambda: public_stages(spectrum, tau1, tau2))
+
+
 #: Each subcommand's flags, as its --help lists them.
 COMMAND_FLAGS = {
     "shor-demo": ["--config", "--dump-config", "--mode", "--tau1", "--tau2", "--omega", "--energies",

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import idx
-from shorphase import shor, statevec, transforms
+from shorphase import _pcg64, shor, statevec, transforms
 from shorphase.config import DelaySchedule, ExperimentConfig, PipelineMode
+from test_stream import EDGE_SEEDS, reference_draws
 
 DEFAULT_SPECTRUM = statevec.additive_spectrum()
 
@@ -433,6 +434,34 @@ def test_sweep_matches_run_experiment():
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         shor.sweep([])
+
+
+# ---------------------------------------------------------------------------
+# seeded draws in rounds of _pcg64.JUMPS draws per row
+
+
+def test_seeded_draws_over_several_rounds_match_one_generator_per_config():
+    # x = 0 shares of never, half, almost always and always, and caps 1..40, so
+    # rows take 1 to 6 rounds; the batched stream must give numpy's own draws.
+    seeds = EDGE_SEEDS + list(range(1000, 1000 + 4 * 40))
+    p0 = np.array([0.0, 0.5, 0.999, 1.0])[np.arange(len(seeds)) % 4]
+    rest = (1.0 - p0) / 3
+    marginals = np.stack([p0, rest, rest, rest], axis=1)
+    caps = [1 + i // 4 % 40 for i in range(len(seeds))]
+    assert len(seeds) >= shor._STREAM_MIN_ROWS
+    x, retries = shor._seeded_draws(seeds, caps, marginals)
+    assert (x, retries) == reference_draws(seeds, caps, marginals)
+    assert {type(value) for value in x + retries} == {int}
+    assert max(retries) // _pcg64.JUMPS + 1 == 6
+
+
+def test_the_stream_keeps_uint64_words_through_a_draw():
+    # numpy 1.22 casts by value: a product with an untyped constant could become float64.
+    stream = _pcg64.Pcg64(EDGE_SEEDS)
+    rows = np.arange(len(EDGE_SEEDS))
+    for count in (None, 1, _pcg64.JUMPS):
+        stream.random(rows, count)
+        assert [words.dtype for words in (stream.hi, stream.lo, *stream.inc)] == [np.uint64] * 4
 
 
 # ---------------------------------------------------------------------------

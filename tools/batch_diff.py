@@ -17,7 +17,9 @@ numeric-string delay, a numpy int seed and retry cap with a numpy float
 tolerance, a list of ints as energies and a 16-entry numpy array. The script prints, per field, how many reports differ in
 ``measured_x``, ``retries``, ``period``, ``factor``, ``diagnostic``, ``error``,
 the ``satisfied`` verdict or the ``config``, and the largest absolute gap of
-the final states, x distributions and residuals. A config is compared field by
+the final states, x distributions and residuals. It also counts the compared
+reports with 8 or more retries: the batched stream draws 8 values per row in a
+round, so these are the rows whose draws needed a second round. A config is compared field by
 field (the delays' and the spectrum's entries one by one), each value by its
 Python type name and, for a float, by ``float.hex``, so a numpy scalar that
 a validator let through differs from the Python float it should have become.
@@ -33,6 +35,9 @@ from pathlib import Path
 import numpy as np
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+#: Retries from which a report's draws took a second round of the batched stream.
+DEEP_RETRIES = 8
 
 FIELDS = ("measured_x", "retries", "period", "factor", "diagnostic", "error", "satisfied", "config")
 
@@ -112,7 +117,7 @@ def main(argv=None) -> int:
 
     flips = dict.fromkeys(FIELDS, 0)
     gaps = dict.fromkeys(("states", "dists", "residuals"), 0.0)
-    settings, config_example = 0, None
+    settings, deep, config_example = 0, 0, None
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             (arrays_a, fields_a), (arrays_b, fields_b) = (
@@ -125,6 +130,7 @@ def main(argv=None) -> int:
             for i, (row_a, row_b) in enumerate(zip(fields_a, fields_b)):
                 for name, va, vb in zip(FIELDS, row_a, row_b):
                     flips[name] += va != vb
+                deep += max(row_a[1], row_b[1]) >= DEEP_RETRIES
                 if config_example is None and row_a[-1] != row_b[-1]:
                     a, b = next((a, b) for a, b in zip(row_a[-1], row_b[-1]) if a != b)
                     config_example = f"seed {seed} report {i}: {' '.join(a)} vs {' '.join(b)}"
@@ -139,6 +145,7 @@ def main(argv=None) -> int:
         print(f"first config difference: {config_example}")
     for name, gap in gaps.items():
         print(f"largest {name} gap: {gap:.3e}")
+    print(f"reports with {DEEP_RETRIES} or more retries: {deep}")
     worst = max(gaps.values())
     failed = sum(flips.values()) > 0 or not worst <= args.tol
     print(f"{'differ' if failed else 'match'}: {settings} settings, {sum(flips.values())} flips, "
