@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -144,36 +143,10 @@ def _csv_field(report: dict, column: str):
     return report[outer][inner]
 
 
-def _json(value, pad: str = "\n") -> str:
-    """The text of ``json.dumps(value, indent=2)`` with ``pad`` after each line break.
-
-    json's indenting encoder is pure Python; this one lays out the containers
-    and takes each leaf's text from the C pieces that encoder calls.
-    """
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    inner = pad + "  "
-    if isinstance(value, dict) and value:
-        try:
-            return "{" + inner + f",{inner}".join([
-                f"{encode_basestring_ascii(key)}: {_json(item, inner)}" for key, item in value.items()
-            ]) + pad + "}"
-        except TypeError:  # a key that is not a str, or a value that json.dumps refuses as well
-            # json.dumps's own text; no JSON string holds a raw "\n", so each one is a line break.
-            return json.dumps(value, indent=2).replace("\n", pad)
-    if isinstance(value, (list, tuple)) and value:
-        return "[" + inner + f",{inner}".join([_json(item, inner) for item in value]) + pad + "]"
-    return json.dumps(value)  # an int, bool, non-finite float, numpy scalar or empty container
-
-
 def _render(fmt: str, columns, report: dict) -> str:
     """One report as indented JSON, or as a CSV header and row."""
     if fmt == "json":
-        return _json(report) + "\n"
+        return json.dumps(report, indent=2) + "\n"
     cells = [_csv_cell(_csv_field(report, column)) for column in columns]
     return ",".join(columns) + "\n" + ",".join(cells) + "\n"
 

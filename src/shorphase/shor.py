@@ -184,51 +184,45 @@ def _outcome(measured_x: int) -> tuple:
 _OUTCOMES = {x: _outcome(x) for x in range(1, D)}
 
 #: Batches of at least this many configs draw from ``_pcg64.Pcg64``; below it,
-#: numpy's per-seed generator is faster (crossover 20-22 rows on a 2-vCPU host).
-_STREAM_MIN_ROWS = 22
+#: numpy's per-seed generators are faster (crossover 15-17 rows on a 2-vCPU host).
+_STREAM_MIN_ROWS = 16
 
 
 def _seeded_draws(seeds, caps, marginals):
     """Measured x and retry count of each row, from its ``default_rng(seed)`` stream.
 
     x = 0 carries no period information, so rows draw in rounds: each round
-    draws again for the rows still at x = 0 with retries left. A batch of
+    takes ``_pcg64.JUMPS`` values per row still drawing, and a row goes again
+    only if all of them read x = 0 with retries left. A batch of
     ``_STREAM_MIN_ROWS`` or more seeds in [0, 2**128) draws from the batched
-    stream, ``_pcg64.JUMPS`` values per row in a round, so a row rarely needs
-    a second; any other batch uses ``np.random.default_rng(seed)``, one value
-    per row in a round, so every negative seed is refused with numpy's own error.
+    stream, any other from ``np.random.default_rng(seed)`` per row, so every
+    negative seed is refused with numpy's own error. Values a row does not
+    use are never read: each stream is dropped after its batch.
     """
     n = len(seeds)
     if n >= _STREAM_MIN_ROWS and min(seeds) >= 0 and max(seeds) < _pcg64.SEED_LIMIT:
-        stream, u, retries, rows = _pcg64.Pcg64(seeds), np.empty(n), np.zeros(n, int), np.arange(n)
-        p0, caps, ahead = marginals[:, :1], np.array(caps)[:, None], np.arange(_pcg64.JUMPS)
-        while rows.size:
-            drawn = stream.random(rows, _pcg64.JUMPS)
-            # A row draws again while it measures x = 0 (u < p0, the draw rule's first
-            # threshold) with retries left: it takes the leading run of such draws.
-            again = (drawn < p0[rows]) & (retries[rows, None] + ahead < caps[rows])
-            taken = np.logical_and.accumulate(again, axis=1).sum(axis=1)
-            retries[rows] += taken
-            done = taken < _pcg64.JUMPS
-            u[rows[done]] = drawn[done, taken[done]]
-            rows = rows[~done]
-        return statevec._draw_rule(u, marginals).tolist(), retries.tolist()
-    try:
-        gens = [np.random.default_rng(s) for s in seeds]
-    except ValueError as exc:  # numpy refuses exactly the negative seeds, each alike
-        statevec._refuse_first(np.array([s < 0 for s in seeds]), str(exc))
-    u, retries, rows, p0 = [0.0] * n, [0] * n, list(range(n)), marginals[:, 0].tolist()
-    while rows:
-        drawn = [gens[i].random() for i in rows]
-        again = []
-        for i, v in zip(rows, drawn):
-            u[i] = v
-            # x = 0 exactly when u < p0, the draw rule's first threshold.
-            if v < p0[i] and retries[i] < caps[i]:
-                retries[i] += 1
-                again.append(i)
-        rows = again
-    return statevec._draw_rule(np.array(u), marginals).tolist(), retries
+        draw = _pcg64.Pcg64(seeds).random
+    else:
+        try:
+            gens = [np.random.default_rng(s) for s in seeds]
+        except ValueError as exc:  # numpy refuses exactly the negative seeds, each alike
+            statevec._refuse_first(np.array([s < 0 for s in seeds]), str(exc))
+
+        def draw(rows, count):
+            return np.array([gens[i].random(count) for i in rows.tolist()])
+    u, retries, rows = np.empty(n), np.zeros(n, int), np.arange(n)
+    p0, caps, ahead = marginals[:, :1], np.array(caps)[:, None], np.arange(_pcg64.JUMPS)
+    while rows.size:
+        drawn = draw(rows, _pcg64.JUMPS)
+        # A row draws again while it measures x = 0 (u < p0, the draw rule's first
+        # threshold) with retries left: it takes the leading run of such draws.
+        again = (drawn < p0[rows]) & (retries[rows, None] + ahead < caps[rows])
+        taken = np.logical_and.accumulate(again, axis=1).sum(axis=1)
+        retries[rows] += taken
+        done = taken < _pcg64.JUMPS
+        u[rows[done]] = drawn[done, taken[done]]
+        rows = rows[~done]
+    return statevec._draw_rule(u, marginals).tolist(), retries.tolist()
 
 
 def _finish(config: ExperimentConfig, state, distribution, residuals, measured_x,

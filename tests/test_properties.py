@@ -580,37 +580,6 @@ def test_main_reads_a_command_as_the_top_level_parser_does(argv):
     assert outcome(cli.main, argv) == outcome(top_level_route, argv)
 
 
-#: Leaves with text of their own: signed zeros, subnormals, non-finite and numpy
-#: floats, big ints, bools, None, and strings that need escaping or are not ASCII.
-JSON_LEAVES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, math.nan, math.inf, -math.inf,
-                     np.float64(-0.0), np.float64(1e-310), np.float64(math.inf), 0, -7, 2**70,
-                     True, False, None, "", "\u00e9t\u00e9", "\U0001f600", "\u2028", "tab\t\"q\"\\",
-                     "\x00\x1f"]),
-    st.floats(), st.integers(), st.text(max_size=6),
-)
-JSON_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(["", "\u00e9", "a\nb", "\"", "x"]))
-
-
-def json_trees(keys):
-    return st.recursive(JSON_LEAVES, lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(keys, inner, max_size=4),
-    ), max_leaves=24)
-
-
-@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=500)
-@hypothesis.given(st.one_of(json_trees(JSON_KEYS),
-                            json_trees(st.one_of(JSON_KEYS, st.integers(), st.floats(), st.none()))))
-@hypothesis.example({"a": [(), {}, [1.5, ("x", None)]], "b": (-0.0, (True,))})
-@hypothesis.example([{"k": {1: [1.0, {"z": (2,)}], None: "v", 2.5: {}}}])
-def test_report_writer_is_json_dumps_indent_2(value):
-    # Dicts, lists and tuples laid out at two spaces a level; a dict with a
-    # key that is not a str is laid out by json.dumps itself, at its depth.
-    assert cli._json(value) == json.dumps(value, indent=2)
-
-
 #: Amplitudes as the pulse report meets them (modulus up to 1, any phase), and any complex
 #: whose modulus, which the report also prints, is finite.
 AMPLITUDES = st.one_of(st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)),

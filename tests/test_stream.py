@@ -86,9 +86,9 @@ def reference_draws(seeds, caps, marginals):
     return xs, retries
 
 
-#: Batch sizes at both sides of the crossover, plus 31 and 32, which stay on
-#: the stream wherever the crossover sits at or below 31.
-SIZES = sorted({1, shor._STREAM_MIN_ROWS - 1, shor._STREAM_MIN_ROWS, 31, 32, 700})
+#: Batch sizes at both sides of the crossover, plus 21, 22, 31 and 32, which stay
+#: on the stream wherever the crossover sits at or below 21.
+SIZES = sorted({1, shor._STREAM_MIN_ROWS - 1, shor._STREAM_MIN_ROWS, 21, 22, 31, 32, 700})
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -126,7 +126,7 @@ def rows_stopping_at_every_depth() -> tuple:
     return seeds, np.stack([p0, rest, rest, rest], axis=1)
 
 
-@pytest.mark.parametrize("copies", sorted({1, 2 * shor._STREAM_MIN_ROWS // DEEPEST + 1, 4}))
+@pytest.mark.parametrize("copies", sorted({1, 2 * shor._STREAM_MIN_ROWS // DEEPEST + 1, 3, 4}))
 def test_seeded_draws_reach_every_retry_depth(copies):
     seeds, marginals = rows_stopping_at_every_depth()
     seeds, marginals = seeds * copies, np.tile(marginals, (copies, 1))

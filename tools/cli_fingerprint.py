@@ -77,6 +77,9 @@ BASE = [
     ("demo-csv", ["shor-demo", "--tau1", "0", "--tau2", "0", "--format", "csv"]),
     ("demo-csv-nofactor", ["shor-demo", "--omega", f"0,{PI},0,0", "--tau1", "1", "--format", "csv"]),
     ("demo-json", ["shor-demo", "--tau1", "0.2", "--format", "json"]),
+    # a seed outside the batched stream, and ints past 2**64 in the report
+    ("demo-bigseed", ["shor-demo", "--seed", str(2**128), "--tau1", "0.25",
+                      "--retry-cap", str(10**20)]),
     # pulse
     ("pulse-coherent", ["pulse", "--mode", "coherent", "--area", "1.5707963", "--phase", "1.5707963"]),
     ("pulse-default", ["pulse", "--rabi", "2.0"]),
@@ -91,6 +94,10 @@ BASE = [
     ("pulse-csv-nc", ["pulse", "--mode", "noncoherent", "--area", "1", "--t0", "0.5", "--format", "csv"]),
     ("pulse-csv-sudden", ["pulse", "--mode", "sudden", "--area", "0", "--format", "csv"]),
     ("pulse-json", ["pulse", "--mode", "phase-corrected", "--area", "1.1", "--format", "json"]),
+    # signed zeros and subnormals in the report
+    ("pulse-negzero", ["pulse", "--mode", "noncoherent", "--area", "1", "--t0", "-0", "--phase", "-0",
+                       "--energies", "-0,2"]),
+    ("pulse-subnormal", ["pulse", "--rabi", "1", "--duration", "1e-320"]),
     # check-condition
     ("cond-default", ["check-condition"]),
     ("cond-delays", ["check-condition", "--tau1", "0.1", "--tau2", "0.1"]),
@@ -100,6 +107,7 @@ BASE = [
     ("cond-csv", ["check-condition", "--format", "csv"]),
     ("cond-csv-delays", ["check-condition", "--tau1", "0.3", "--tau2", "0.2", "--format", "csv"]),
     ("cond-json", ["check-condition", "--tau1", "0.3", "--format", "json"]),
+    ("cond-tiny", ["check-condition", "--tau1", "-0", "--tau2", "5e-324", "--tolerance", "5e-324"]),
     # sweep
     ("sweep-csv", ["sweep", *SW, "--out", "grid.csv"]),
     ("sweep-json", ["sweep", *SW, "--out", "grid.json"]),
