@@ -3,15 +3,16 @@
 numpy's ``SeedSequence`` and PCG64 arithmetic (bit_generator.pyx, pcg64.h) on
 (B,) arrays, so a batch pays numpy's per-seed set-up once. A seed in
 [0, 2**128) is at most four 32-bit words, which ``SeedSequence`` mixes like
-the same words padded with zeros.
+the same words padded with zeros; any other seed is seeded by numpy itself,
+which refuses a negative one.
 """
 
 import numpy as np
 
-#: Seeds this stream covers; numpy's generator takes every other one.
+#: Seeds this module mixes itself; numpy's ``SeedSequence`` seeds every other one.
 SEED_LIMIT = 2**128
 
-#: Draws that one call takes at most per stream: one round of a batch's seeded draw.
+#: Draws that one call takes per stream: one round of a batch's seeded draw.
 JUMPS = 8
 
 _U32, _U64 = np.uint32, np.uint64
@@ -58,19 +59,20 @@ def _muladd(hi, lo, mul, add_hi, add_lo):
     return hi + add_hi + (new_lo < lo), new_lo
 
 
-def _jump(hi, lo, inc_hi, inc_lo, count):
-    """The (B,) states 1, 2, ..., ``count`` PCG64 steps on, as (count, B) arrays."""
+def _jump(hi, lo, inc_hi, inc_lo):
+    """The (B,) states 1, 2, ..., ``JUMPS`` PCG64 steps on, as (JUMPS, B) arrays."""
     # Row by row, each table entry against the whole batch: numpy's inner loop runs over B.
-    add = _muladd(inc_hi, inc_lo, [c[:count] for c in _JUMP_INC], _ZERO, _ZERO)
-    return _muladd(hi, lo, [c[:count] for c in _JUMP_MUL], *add)
+    add = _muladd(inc_hi, inc_lo, _JUMP_INC, _ZERO, _ZERO)
+    return _muladd(hi, lo, _JUMP_MUL, *add)
 
 
 class Pcg64:
-    """The ``default_rng(seed)`` stream of each seed in a batch, every seed in [0, SEED_LIMIT)."""
+    """The ``default_rng(seed)`` stream of each seed in a batch; numpy refuses a negative seed."""
 
     def __init__(self, seeds):
+        # Masked, so a seed outside [0, SEED_LIMIT) converts too; numpy re-seeds its row below.
         lo = np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=_U64)
-        hi = np.array([s >> 64 for s in seeds], dtype=_U64)
+        hi = np.array([s >> 64 & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=_U64)
         # The four entropy words, least significant first; then each pool word,
         # hashed, is mixed into the other three in turn.
         words = np.stack([lo & _M32, lo >> _S32, hi & _M32, hi >> _S32], axis=-1).astype(_U32)
@@ -87,17 +89,17 @@ class Pcg64:
         lo = self.inc[1] + init_lo
         (self.hi,), (self.lo,) = _muladd(self.inc[0] + init_hi + (lo < init_lo), lo,
                                          [c[:1] for c in _JUMP_MUL], *self.inc)
+        if min(seeds) < 0 or max(seeds) >= SEED_LIMIT:  # C passes: only such a batch loops
+            for row, seed in enumerate(seeds):
+                if not 0 <= seed < SEED_LIMIT:
+                    state = np.random.PCG64(seed).state["state"]
+                    self.hi[row], self.lo[row] = divmod(state["state"], 2**64)
+                    self.inc[0][row], self.inc[1][row] = divmod(state["inc"], 2**64)
 
-    def random(self, rows, count=None) -> np.ndarray:
-        """The next ``random()`` double of the streams at ``rows``, advancing only those.
-
-        With a ``count`` of at most ``JUMPS``, the next ``count`` doubles of
-        each, one row per stream, in one jump.
-        """
-        hi, lo = _jump(self.hi[rows], self.lo[rows], self.inc[0][rows], self.inc[1][rows],
-                       count or 1)
+    def random(self, rows) -> np.ndarray:
+        """The next ``JUMPS`` ``random()`` doubles of each stream at ``rows``; no other advances."""
+        hi, lo = _jump(self.hi[rows], self.lo[rows], self.inc[0][rows], self.inc[1][rows])
         self.hi[rows], self.lo[rows] = hi[-1], lo[-1]
         # XSL-RR: the two words xor-ed, rotated right by the state's top six bits.
         x, r = hi ^ lo, hi >> _U64(58)
-        out = ((x >> r | x << (-r & _U64(63))) >> _U64(11)).astype(float) * 2.0**-53
-        return out.T if count else out[0]
+        return (((x >> r | x << (-r & _U64(63))) >> _U64(11)).astype(float) * 2.0**-53).T

@@ -104,7 +104,7 @@ def _evaluate(spectrum, mode, tau1, tau2, tol):
     delays that holds both modes, a (B,) bool mask of its natural-phase rows;
     only the final states are computed per mode. Each check names every bad
     row (``statevec._refuse_first``). A run fails as the pipeline would: a bad
-    phase, the y=0 leak or the norm is reported before a bad residual.
+    phase or the norm is reported before a bad residual.
     """
     if isinstance(mode, PipelineMode):
         states = transforms._final_states(spectrum, mode, tau1, tau2)
@@ -183,37 +183,26 @@ def _outcome(measured_x: int) -> tuple:
 #: The period, factor and diagnostic of each x != 0: they depend on x alone.
 _OUTCOMES = {x: _outcome(x) for x in range(1, D)}
 
-#: Batches of at least this many configs draw from ``_pcg64.Pcg64``; below it,
-#: numpy's per-seed generators are faster (crossover 15-17 rows on a 2-vCPU host).
-_STREAM_MIN_ROWS = 16
-
 
 def _seeded_draws(seeds, caps, marginals):
     """Measured x and retry count of each row, from its ``default_rng(seed)`` stream.
 
     x = 0 carries no period information, so rows draw in rounds: each round
     takes ``_pcg64.JUMPS`` values per row still drawing, and a row goes again
-    only if all of them read x = 0 with retries left. A batch of
-    ``_STREAM_MIN_ROWS`` or more seeds in [0, 2**128) draws from the batched
-    stream, any other from ``np.random.default_rng(seed)`` per row, so every
-    negative seed is refused with numpy's own error. Values a row does not
-    use are never read: each stream is dropped after its batch.
+    only if all of them read x = 0 with retries left. Every row draws from one
+    batched ``_pcg64.Pcg64`` stream, and every negative seed is refused with
+    numpy's own error. Values a row does not use are never read: the stream
+    is dropped after its batch.
     """
+    try:
+        stream = _pcg64.Pcg64(seeds)
+    except ValueError as exc:  # numpy refuses exactly the negative seeds, each alike
+        statevec._refuse_first(np.array([s < 0 for s in seeds]), str(exc))
     n = len(seeds)
-    if n >= _STREAM_MIN_ROWS and min(seeds) >= 0 and max(seeds) < _pcg64.SEED_LIMIT:
-        draw = _pcg64.Pcg64(seeds).random
-    else:
-        try:
-            gens = [np.random.default_rng(s) for s in seeds]
-        except ValueError as exc:  # numpy refuses exactly the negative seeds, each alike
-            statevec._refuse_first(np.array([s < 0 for s in seeds]), str(exc))
-
-        def draw(rows, count):
-            return np.array([gens[i].random(count) for i in rows.tolist()])
     u, retries, rows = np.empty(n), np.zeros(n, int), np.arange(n)
     p0, caps, ahead = marginals[:, :1], np.array(caps)[:, None], np.arange(_pcg64.JUMPS)
     while rows.size:
-        drawn = draw(rows, _pcg64.JUMPS)
+        drawn = stream.random(rows)
         # A row draws again while it measures x = 0 (u < p0, the draw rule's first
         # threshold) with retries left: it takes the leading run of such draws.
         again = (drawn < p0[rows]) & (retries[rows, None] + ahead < caps[rows])

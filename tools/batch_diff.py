@@ -14,7 +14,10 @@ fail: a phase that overflows at idle 1, an overflowing natural-phase total
 seed; their reports' error texts are compared like every other field. Four are
 valid values that take the validators' general paths: a numpy float and a
 numeric-string delay, a numpy int seed and retry cap with a numpy float
-tolerance, a list of ints as energies and a 16-entry numpy array. The script prints, per field, how many reports differ in
+tolerance, a list of ints as energies and a 16-entry numpy array. Two draw
+from seeds outside [0, 2**128), 2**128 and 2**300 + 12345, whose streams
+numpy's ``SeedSequence`` seeds from more than four 32-bit words: ten fixed
+settings, twenty rows. The script prints, per field, how many reports differ in
 ``measured_x``, ``retries``, ``period``, ``factor``, ``diagnostic``, ``error``,
 the ``satisfied`` verdict or the ``config``, and the largest absolute gap of
 the final states, x distributions and residuals. It also counts the compared
@@ -61,6 +64,9 @@ fixed = [dict(s, mode=mode) for mode in ("free-evolution", "natural-phase") for 
     {"seed": np.int64(11), "retry_cap": np.int64(3), "tolerance": np.float64(1e-6), "tau1": 0.4},
     {"energies": list(range(16)), "tau1": 0.2},
     {"energies": np.linspace(0.5, 8.0, 16), "tau2": 0.6},
+    # Seeds past four 32-bit words: numpy's SeedSequence seeds their streams.
+    {"seed": 2**128, "tau1": 0.35},
+    {"seed": 2**300 + 12345, "tau2": 0.45},
 )]
 reports = []
 for index in range(inputs.PASS_BATCHES):
